@@ -76,7 +76,7 @@ def sweep(gpu_counts, measure=False, iters=3):
                 for name, curve in model_curves.items()}
         if measure:
             import bench_rank_stacked as brs
-            trainer = brs.build_trainer(gpus, stacked=True)
+            trainer = brs.build_trainer(gpus)
             batches = brs.make_batches(gpus, 2)
             point["measured_stacked_step_s"] = brs._best_step_time(
                 trainer, batches, iters)
@@ -156,7 +156,7 @@ def test_fig11_smoke_r64(benchmark, report):
     import bench_rank_stacked as brs
 
     def run():
-        trainer = brs.build_trainer(SMOKE_WORLD, stacked=True)
+        trainer = brs.build_trainer(SMOKE_WORLD)
         batches = brs.make_batches(SMOKE_WORLD, 2)
         return [trainer.train_step(batches[i % 2]) for i in range(3)]
 

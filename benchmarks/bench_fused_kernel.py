@@ -10,10 +10,12 @@ operator level. Three reproductions:
 
   - ``legacy``  — per-table python loop over the seed's ``np.add.at``
     scatter kernel (the unfused baseline this PR replaced),
-  - ``segloop`` — per-table loop over the shared ``segment_sum`` reduceat
-    kernel (``fusion="loop"``),
+  - ``segloop`` — per-table loop of ``EmbeddingTable.forward`` /
+    ``backward`` / ``optimizer.step`` over the shared ``segment_sum``
+    reduceat kernel,
   - ``arena``   — the single-dispatch fused megatable
-    (``fusion="arena"``: one tiled gather + one reduceat per dim group);
+    (``FusedEmbeddingCollection``: one tiled gather + one reduceat per
+    dim group);
 
 * a bitwise parity check between ``arena`` and ``segloop`` (exact) and a
   numerical check against ``legacy`` (allclose — reduceat and add.at
@@ -70,10 +72,9 @@ def build_workload(num_tables, batch, pool, rows, dim, seed=0):
         f"t{i}", rows, dim, pooling_mode="mean" if i % 3 == 0 else "sum")
         for i in range(num_tables)]
     arena = FusedEmbeddingCollection.from_configs(
-        configs, rng=np.random.default_rng(seed + 1), fusion="arena")
-    segloop = FusedEmbeddingCollection(
-        [EmbeddingTable(c, weight=arena.table(c.name).weight.copy())
-         for c in configs], fusion="loop")
+        configs, rng=np.random.default_rng(seed + 1))
+    segloop = [EmbeddingTable(c, weight=arena.table(c.name).weight.copy())
+               for c in configs]
     legacy = [EmbeddingTable(c, weight=arena.table(c.name).weight.copy())
               for c in configs]
     inputs = {c.name: (rng.integers(0, rows, size=batch * pool).astype(
@@ -113,12 +114,18 @@ def run_benchmark(quick=False, iters=None):
         for t in legacy:
             opt.step(t, t.backward(dy[t.name]))
 
+    def segloop_fwd():
+        return {t.name: t.forward(*inputs[t.name]) for t in segloop}
+
+    def segloop_step():
+        segloop_fwd()
+        opt = RowWiseAdaGrad(lr=0.05)
+        for t in segloop:
+            opt.step(t, t.backward(dy[t.name]))
+
     variants = {
         "legacy": (legacy_fwd, legacy_step),
-        "segloop": (lambda: segloop.forward(inputs),
-                    lambda: (segloop.forward(inputs),
-                             segloop.backward_and_update(
-                                 dy, RowWiseAdaGrad(lr=0.05)))),
+        "segloop": (segloop_fwd, segloop_step),
         "arena": (lambda: arena.forward(inputs),
                   lambda: (arena.forward(inputs),
                            arena.backward_and_update(
@@ -128,7 +135,7 @@ def run_benchmark(quick=False, iters=None):
     # parity first (also serves as warmup): arena vs segloop is bitwise,
     # arena vs legacy is allclose (different partial-sum orders)
     out_arena = arena.forward(inputs)
-    out_segloop = segloop.forward(inputs)
+    out_segloop = segloop_fwd()
     out_legacy = legacy_fwd()
     bitwise = all(np.array_equal(out_arena[n], out_segloop[n])
                   for n in arena.names)

@@ -2,18 +2,19 @@
 
 The lock-step simulator used to advance its ``R`` data-parallel dense
 replicas with ``R`` sequential python-loop calls per phase (forward,
-loss, backward, AllReduce flatten, optimizer). The rank-stacked mode
-(``NeoTrainer(..., stacked=True)``, the default) packs every replica's
-parameters into leading-axis ``(R, ...)`` arrays so each phase is one
-batched ``np.matmul``/einsum — turning per-step cost from
+loss, backward, AllReduce flatten, optimizer). The rank-stacked
+:class:`NeoTrainer` packs every replica's parameters into leading-axis
+``(R, ...)`` arrays so each phase is one batched ``np.matmul``/einsum —
+turning per-step cost from
 "R × (python + tiny-GEMM overhead)" into one R-times-larger kernel.
 
 Two measurements:
 
-* ``looped`` vs ``stacked`` wall clock per training step at growing
-  world sizes, same model/batches/seed — with a bitwise parity check
-  (losses and rank-0 dense parameters after the measured steps must be
-  identical; the stacked path is not allowed to buy speed with drift);
+* ``looped`` (the reference oracle ``tests/oracles/looped_trainer.py``)
+  vs ``stacked`` wall clock per training step at growing world sizes,
+  same model/batches/seed — with a bitwise parity check (losses and
+  rank-0 dense parameters after the measured steps must be identical;
+  the stacked path is not allowed to buy speed with drift);
 * a stacked-only scaling curve out to R=128, showing per-step time
   staying near-linear in the (growing) global batch while the looped
   path's python overhead would grow with R on top of that.
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -45,6 +47,12 @@ from repro.embedding import EmbeddingTableConfig, SparseAdaGrad
 from repro.models import DLRMConfig
 from repro.obs.metrics import MetricRegistry
 from repro.sharding import ShardingPlan, ShardingScheme, shard_table
+
+# the looped baseline is the test-suite oracle; make the repo root
+# importable when this file runs as a script
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))))
+from tests.oracles.looped_trainer import LoopedNeoTrainer  # noqa: E402
 
 # dense-dominated configuration: the dense replica work (MLPs) is what
 # rank-stacking vectorizes, so the model is deep and narrow — per-rank
@@ -64,7 +72,8 @@ QUICK_WORLDS = [4, 16]
 QUICK_STACKED_ONLY = []
 
 
-def build_trainer(world: int, stacked: bool, seed: int = 0) -> NeoTrainer:
+def build_trainer(world: int, stacked: bool = True,
+                  seed: int = 0) -> NeoTrainer:
     tables = tuple(
         EmbeddingTableConfig(f"t{i}", MODEL["rows"], MODEL["emb_dim"],
                              avg_pooling=2.0)
@@ -76,11 +85,12 @@ def build_trainer(world: int, stacked: bool, seed: int = 0) -> NeoTrainer:
     for t in tables:
         plan.tables[t.name] = shard_table(
             t, ShardingScheme.DATA_PARALLEL, list(range(world)))
-    return NeoTrainer(
+    cls = NeoTrainer if stacked else LoopedNeoTrainer
+    return cls(
         config, plan, ClusterTopology(num_nodes=1, gpus_per_node=world),
         dense_optimizer=lambda p: nn.SGD(p, lr=0.1, momentum=0.9),
         sparse_optimizer=SparseAdaGrad(lr=0.1), seed=seed,
-        metrics=MetricRegistry(), stacked=stacked)
+        metrics=MetricRegistry())
 
 
 def make_batches(world: int, num: int):

@@ -110,8 +110,18 @@ class CheckpointManager:
                 payload[f"emb/{t.name}/values"] = self._encode_rows(table)
                 written_rows += table.shape[0]
             self._last_tables[t.name] = table
+        # write through a temp file and rename, so a crash mid-write
+        # never leaves a truncated ckpt_*.npz for list_steps()/load();
+        # an open handle stops np.savez appending ".npz" to the name
         path = self._path(trainer.steps)
-        np.savez(path, **payload)
+        tmp = path + ".tmp"
+        try:
+            with open(tmp, "wb") as f:
+                np.savez(f, **payload)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
         self.history.append(CheckpointStats(
             step=trainer.steps, full_rows=full_rows,
             written_rows=written_rows,
@@ -182,8 +192,7 @@ class CheckpointManager:
                             (t.num_embeddings, t.embedding_dim),
                             dtype=np.float32)
                     tables[t.name][rows] = values
-        # write back into every rank's replica (or the stacked storage —
-        # the trainer knows its execution mode) and every shard;
+        # write back into the dense replicas and every shard, in place;
         # optimizer state is replaced wholesale so a momentum/Adam
         # resume is exact (checkpoints predating opt-state capture
         # simply reset it)
@@ -193,7 +202,7 @@ class CheckpointManager:
             for shard in table_plan.shards:
                 r0, r1 = shard.row_range
                 c0, c1 = shard.col_range
-                trainer._shard_tables[shard].weight = \
-                    tables[t.name][r0:r1, c0:c1].copy()
+                trainer._shard_tables[shard].weight[...] = \
+                    tables[t.name][r0:r1, c0:c1]
         trainer.steps = restored_step
         return restored_step

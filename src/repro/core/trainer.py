@@ -28,21 +28,19 @@ All collectives move real data through :class:`SimProcessGroup`, which also
 accumulates wire bytes and modeled latency. The trainer's numerics are
 validated against the single-process :class:`repro.models.DLRM` reference.
 
-**Rank-stacked simulation** (default, ``stacked=True``): since every
-rank's dense replica is bitwise identical in architecture, all replicas'
-parameters are packed into leading-axis ``(R, ...)`` arrays
-(:class:`StackedRankState`, built by :mod:`repro.nn.stacked`) so the
-data-parallel bottom/top MLP forward and backward across all ranks is
-one batched ``np.matmul`` per layer instead of ``R`` sequential calls,
-and the bucketed dense AllReduce ships one ``(R, elements)`` array
-through the :class:`SimProcessGroup` stacked fast path. Wire-byte
-accounting, modeled latency, spans and fault injection are unchanged,
-and every per-rank quantity is bitwise identical to the legacy looped
-path (``stacked=False``, kept as the reference oracle and fuzzed
-against in ``tests/test_trainer_stacked.py``). The per-rank
-``_RankState`` objects survive as *views* into the stacked storage, so
-checkpointing, ``freeze()`` export and replica-sync checks read rank
-state exactly as before.
+**Rank-stacked simulation**: since every rank's dense replica is
+bitwise identical in architecture, all replicas' parameters are packed
+into leading-axis ``(R, ...)`` arrays (:class:`StackedRankState`, built
+by :mod:`repro.nn.stacked`) so the data-parallel bottom/top MLP forward
+and backward across all ranks is one batched ``np.matmul`` per layer
+instead of ``R`` sequential calls, and the bucketed dense AllReduce
+ships one ``(R, elements)`` array through the :class:`SimProcessGroup`
+stacked fast path. Every per-rank quantity is bitwise identical to a
+sequential per-rank loop (the looped reference oracle in
+``tests/oracles/looped_trainer.py``, fuzzed against in
+``tests/test_trainer_stacked.py``). The per-rank ``_RankState`` objects
+survive as *views* into the stacked storage, so checkpointing,
+``freeze()`` export and replica-sync checks read rank state directly.
 """
 
 from __future__ import annotations
@@ -58,9 +56,9 @@ from ..comms import (AlltoAllKind, ClusterTopology, QuantizedCommsConfig,
 from ..comms.bucketing import GradientBucketer
 from ..data.datagen import MiniBatch
 from ..data.kernels import bucketize_sparse
-from ..embedding import (EmbeddingArena, EmbeddingTable,
-                         EmbeddingTableConfig, QuantizedEmbeddingTable,
-                         SparseGradient, SparseOptimizer)
+from ..embedding import (EmbeddingTable, EmbeddingTableConfig,
+                         QuantizedEmbeddingTable, SparseGradient,
+                         SparseOptimizer)
 from ..embedding.table import lengths_to_offsets, offsets_to_lengths
 from ..models.dlrm import DLRM, DLRMConfig
 from ..obs.metrics import MetricRegistry
@@ -124,11 +122,11 @@ class StackedRankState:
 class _StackedOptimizerView:
     """Per-rank facade over the shared stacked dense optimizer.
 
-    Keeps the ``trainer.ranks[r].dense_opt`` surface alive in stacked
-    mode: LR schedulers read/write ``.lr`` (one shared optimizer — in
-    looped mode all replica optimizers move in lock-step anyway), and
-    checkpointing reads per-rank slot state through :meth:`state_for`,
-    which slices this rank out of any stacked state array. Calling
+    Keeps the ``trainer.ranks[r].dense_opt`` surface alive: LR
+    schedulers read/write ``.lr`` (one shared optimizer drives every
+    replica), and checkpointing reads per-rank slot state through
+    :meth:`state_for`, which slices this rank out of any stacked state
+    array. Calling
     :meth:`step` raises: the trainer steps the stacked optimizer once
     per iteration, and a silent per-rank step would double-update.
     """
@@ -177,7 +175,7 @@ class _StackedOptimizerView:
 
     def step(self) -> None:
         raise RuntimeError(
-            "per-rank dense_opt is a read-only view in stacked mode; "
+            "per-rank dense_opt is a read-only view; "
             "the trainer steps the shared stacked optimizer")
 
 
@@ -198,7 +196,6 @@ class NeoTrainer:
                  metrics: Optional[MetricRegistry] = None,
                  process_group_factory: Optional[
                      Callable[..., SimProcessGroup]] = None,
-                 stacked: bool = True,
                  representation_plan=None) -> None:
         if plan.world_size != topology.world_size:
             raise ValueError(
@@ -270,17 +267,12 @@ class NeoTrainer:
                                 golden.dense_parameters()):
                 dst.data = src.data.copy()
             self.ranks.append(state)
-        # rank-stacked mode packs every replica's dense parameters into
-        # (R, ...) arrays and rebinds the per-rank parameters to views;
-        # looped mode (the reference oracle) keeps per-rank optimizers
-        self._stacked_state: Optional[StackedRankState] = None
-        if stacked:
-            self._stacked_state = self._stack_ranks(dense_optimizer)
-        else:
-            for state in self.ranks:
-                state.dense_opt = dense_optimizer(state.dense_parameters())
-        # bucketing is defined over one replica's parameter shapes in
-        # both modes (the stacked fast path packs (R, elems) buckets)
+        # pack every replica's dense parameters into (R, ...) arrays and
+        # rebind the per-rank parameters to views
+        self._stacked_state: StackedRankState = self._stack_ranks(
+            dense_optimizer)
+        # bucketing is defined over one replica's parameter shapes (the
+        # stacked AllReduce packs (R, elems) buckets)
         self._bucketer = GradientBucketer(
             self.ranks[0].dense_parameters())
 
@@ -298,7 +290,6 @@ class NeoTrainer:
                      metrics: Optional[MetricRegistry] = None,
                      process_group_factory: Optional[
                          Callable[..., SimProcessGroup]] = None,
-                     stacked: bool = True,
                      representation_plan=None) -> "NeoTrainer":
         """Build a trainer with an automatically planned, memory-validated
         sharding plan — the one-call production entry point.
@@ -322,12 +313,7 @@ class NeoTrainer:
                    sparse_optimizer, comms_config=comms_config, seed=seed,
                    trace=trace, metrics=metrics,
                    process_group_factory=process_group_factory,
-                   stacked=stacked, representation_plan=representation_plan)
-
-    @property
-    def stacked(self) -> bool:
-        """True when running the rank-stacked fast path."""
-        return self._stacked_state is not None
+                   representation_plan=representation_plan)
 
     def _stack_ranks(self, dense_optimizer: Callable[
             [Sequence[nn.Parameter]], nn.Optimizer]) -> StackedRankState:
@@ -391,18 +377,6 @@ class NeoTrainer:
                     "lookup_rows", table=t.name)
                 self._update_counters[shard] = emb_metrics.counter(
                     "update_rows", table=t.name)
-        # Pack each rank's shard weights into per-dimension arenas — the
-        # device-local "megatable" layout of Section 4.1.1. Packing
-        # re-points every shard table's ``.weight`` at a view of the
-        # rank's contiguous storage; lookups and sparse updates read and
-        # write through the views, so numerics are unchanged while each
-        # rank's embedding memory becomes one allocation per dimension.
-        by_rank: Dict[int, List[EmbeddingTable]] = {}
-        for shard, table in self._shard_tables.items():
-            by_rank.setdefault(shard.rank, []).append(table)
-        self._rank_arenas: Dict[int, EmbeddingArena] = {
-            rank: EmbeddingArena(tables)
-            for rank, tables in sorted(by_rank.items())}
         self._launch_counter = emb_metrics.counter("kernel_launches")
 
     # ------------------------------------------------------------------
@@ -594,25 +568,13 @@ class NeoTrainer:
         return self.pg.reduce_scatter(chunked)
 
     def _backward_row_wise(self, shards: List[Shard],
-                           d_pooled) -> None:
-        w = self.world_size
-        if isinstance(d_pooled, np.ndarray):
-            # rank-stacked fast path: one (W, B, D) array through the
-            # AllGather; the gathered stack reshapes to the same
-            # source-rank-major (W*B, D) global gradient the looped
-            # path concatenates
-            result = self.pg.all_gather(d_pooled / w)
-            gathered = result.stacked
-            d_global = gathered.reshape(
-                gathered.shape[0] * gathered.shape[1],
-                -1).astype(np.float32)
-            for shard in shards:
-                self._shard_update(shard, d_global)
-            return
-        gathered = self.pg.all_gather([d / w for d in d_pooled])
+                           d_pooled: np.ndarray) -> None:
+        # one (W, B, D) array through the AllGather; the gathered stack
+        # reshapes to the source-rank-major (W*B, D) global gradient
+        gathered = self.pg.all_gather(d_pooled / self.world_size).stacked
+        d_global = gathered.reshape(
+            gathered.shape[0] * gathered.shape[1], -1).astype(np.float32)
         for shard in shards:
-            d_global = np.concatenate(gathered[shard.rank],
-                                      axis=0).astype(np.float32)
             self._shard_update(shard, d_global)
 
     def _forward_data_parallel(self, shards: List[Shard],
@@ -643,10 +605,8 @@ class NeoTrainer:
             self._apply_sparse(by_rank[r], sparse)
 
     # ------------------------------------------------------------------
-    # shared per-phase helpers: each is used by train_step AND
-    # eval_forward, and each is the single looped-vs-stacked seam for
-    # its phase (the stacked branch advances all ranks with one batched
-    # kernel; the looped branch is the per-rank reference oracle)
+    # shared per-phase helpers, used by train_step AND eval_forward; each
+    # advances all ranks with one batched kernel over the stacked state
     # ------------------------------------------------------------------
     def _check_batches(self, local_batches: List[MiniBatch]) -> int:
         if len(local_batches) != self.world_size:
@@ -658,14 +618,10 @@ class NeoTrainer:
             raise ValueError(f"local batches must be equal size, got {sizes}")
         return sizes.pop()
 
-    def _bottom_forward(self, local_batches: List[MiniBatch]):
-        """Bottom MLP over all ranks: (R, B, D) stacked, or per-rank list."""
-        ss = self._stacked_state
-        if ss is not None:
-            dense_in = np.stack([b.dense for b in local_batches], axis=0)
-            return ss.bottom.forward(dense_in)
-        return [self.ranks[r].bottom.forward(local_batches[r].dense)
-                for r in range(self.world_size)]
+    def _bottom_forward(self, local_batches: List[MiniBatch]) -> np.ndarray:
+        """Bottom MLP over all ranks: (R, B, D)."""
+        dense_in = np.stack([b.dense for b in local_batches], axis=0)
+        return self._stacked_state.bottom.forward(dense_in)
 
     def _table_forward(self, t: EmbeddingTableConfig, table_plan,
                        inputs: List[Tuple[np.ndarray, np.ndarray]],
@@ -705,94 +661,57 @@ class NeoTrainer:
                     t, table_plan, inputs, local_batch)
         return pooled
 
-    def _interaction_forward(self, dense_out, pooled):
-        """Projections + interaction; returns (R, B, I) or per-rank list."""
+    def _interaction_forward(self, dense_out: np.ndarray,
+                             pooled: Dict[str, List[np.ndarray]]
+                             ) -> np.ndarray:
+        """Projections + interaction over all ranks: (R, B, I)."""
         ss = self._stacked_state
-        if ss is not None:
-            features = [dense_out]
-            for t in self.config.tables:
-                value = np.stack(list(pooled[t.name]), axis=0)
-                if t.name in ss.projections:
-                    value = ss.projections[t.name].forward(value)
-                features.append(value)
-            return ss.interaction.forward_list(features)
-        interacted = []
-        for r in range(self.world_size):
-            state = self.ranks[r]
-            features = [dense_out[r]]
-            for t in self.config.tables:
-                value = pooled[t.name][r]
-                if t.name in state.projections:
-                    value = state.projections[t.name].forward(value)
-                features.append(value)
-            interacted.append(state.interaction.forward_list(features))
-        return interacted
+        features = [dense_out]
+        for t in self.config.tables:
+            value = np.stack(list(pooled[t.name]), axis=0)
+            if t.name in ss.projections:
+                value = ss.projections[t.name].forward(value)
+            features.append(value)
+        return ss.interaction.forward_list(features)
 
-    def _top_forward(self, interacted):
-        """Top MLP logits: (R, B) stacked, or per-rank (B,) list."""
-        ss = self._stacked_state
-        if ss is not None:
-            return ss.top.forward(interacted)[..., 0]
-        return [self.ranks[r].top.forward(interacted[r])[:, 0]
-                for r in range(self.world_size)]
+    def _top_forward(self, interacted: np.ndarray) -> np.ndarray:
+        """Top MLP logits: (R, B)."""
+        return self._stacked_state.top.forward(interacted)[..., 0]
 
-    def _loss_forward(self, logits, local_batches: List[MiniBatch]):
-        """Per-rank mean BCE losses: (R,) stacked, or list of floats."""
-        ss = self._stacked_state
-        if ss is not None:
-            labels = np.stack([b.labels for b in local_batches], axis=0)
-            return ss.loss_fn.forward(logits, labels)
-        return [self.ranks[r].loss_fn.forward(logits[r],
-                                              local_batches[r].labels)
-                for r in range(self.world_size)]
+    def _loss_forward(self, logits: np.ndarray,
+                      local_batches: List[MiniBatch]) -> np.ndarray:
+        """Per-rank mean BCE losses: (R,)."""
+        labels = np.stack([b.labels for b in local_batches], axis=0)
+        return self._stacked_state.loss_fn.forward(logits, labels)
 
-    def _dense_backward(self) -> Dict[str, object]:
+    def _dense_backward(self) -> Dict[str, np.ndarray]:
         """Loss -> top -> interaction -> bottom backward; returns each
-        table's pooled-embedding gradient — a (R, B, D) array in stacked
-        mode, a per-rank list otherwise."""
+        table's (R, B, D) pooled-embedding gradient."""
         ss = self._stacked_state
-        if ss is not None:
-            for p in ss.dense_parameters():
-                p.zero_grad()
-            d_logits = ss.loss_fn.backward()[..., None]
-            d_inter = ss.top.backward(d_logits)
-            d_features = ss.interaction.backward_list(d_inter)
-            ss.bottom.backward(d_features[0])
-            d_pooled: Dict[str, object] = {}
-            for i, t in enumerate(self.config.tables):
-                grad = d_features[1 + i]
-                if t.name in ss.projections:
-                    grad = ss.projections[t.name].backward(grad)
-                d_pooled[t.name] = grad
-            return d_pooled
-        d_pooled = {t.name: [] for t in self.config.tables}
-        for r in range(self.world_size):
-            state = self.ranks[r]
-            for p in state.dense_parameters():
-                p.zero_grad()
-            d_logits = state.loss_fn.backward()[:, None]
-            d_inter = state.top.backward(d_logits)
-            d_features = state.interaction.backward_list(d_inter)
-            state.bottom.backward(d_features[0])
-            for i, t in enumerate(self.config.tables):
-                grad = d_features[1 + i]
-                if t.name in state.projections:
-                    grad = state.projections[t.name].backward(grad)
-                d_pooled[t.name].append(grad)
+        for p in ss.dense_parameters():
+            p.zero_grad()
+        d_logits = ss.loss_fn.backward()[..., None]
+        d_inter = ss.top.backward(d_logits)
+        d_features = ss.interaction.backward_list(d_inter)
+        ss.bottom.backward(d_features[0])
+        d_pooled: Dict[str, np.ndarray] = {}
+        for i, t in enumerate(self.config.tables):
+            grad = d_features[1 + i]
+            if t.name in ss.projections:
+                grad = ss.projections[t.name].backward(grad)
+            d_pooled[t.name] = grad
         return d_pooled
 
     def _table_backward(self, table_plan, d_pooled) -> None:
-        """Scheme dispatch for one table's backward. ``d_pooled`` may be
-        the stacked (R, B, D) gradient: row-wise keeps it whole (its
-        AllGather ships the stack in one call); other schemes consume
-        per-rank slices, bitwise equal to the looped payloads."""
+        """Scheme dispatch for one table's backward. Row-wise keeps the
+        (R, B, D) gradient whole (its AllGather ships the stack in one
+        call); other schemes consume per-rank slices."""
         scheme = table_plan.scheme
         if scheme in (ShardingScheme.ROW_WISE,
                       ShardingScheme.TABLE_ROW_WISE):
             self._backward_row_wise(table_plan.shards, d_pooled)
             return
-        if isinstance(d_pooled, np.ndarray):
-            d_pooled = [d_pooled[r] for r in range(self.world_size)]
+        d_pooled = [d_pooled[r] for r in range(self.world_size)]
         if scheme == ShardingScheme.TABLE_WISE:
             self._backward_table_wise(table_plan.shards[0], d_pooled)
         elif scheme == ShardingScheme.COLUMN_WISE:
@@ -800,46 +719,25 @@ class NeoTrainer:
         else:
             self._backward_data_parallel(table_plan.shards, d_pooled)
 
-    def _dense_allreduce(self):
-        """Bucketed DDP gradient sync; returns the reduced flat buckets
-        ((R, elems) arrays stacked, else per-rank lists of buckets)."""
-        w = self.world_size
-        ss = self._stacked_state
-        if ss is not None:
-            flats = self._bucketer.flatten_stacked(
-                [p.grad for p in ss.dense_parameters()])
-            for b in range(self._bucketer.num_buckets):
-                flats[b] = self.pg.all_reduce(flats[b]).stacked
-            return flats
-        flat_per_rank = [
-            self._bucketer.flatten([p.grad for p in
-                                    self.ranks[r].dense_parameters()])
-            for r in range(w)]
+    def _dense_allreduce(self) -> List[np.ndarray]:
+        """Bucketed DDP gradient sync; returns the reduced (R, elems)
+        flat buckets."""
+        flats = self._bucketer.flatten_stacked(
+            [p.grad for p in self._stacked_state.dense_parameters()])
         for b in range(self._bucketer.num_buckets):
-            reduced = self.pg.all_reduce([flat_per_rank[r][b]
-                                          for r in range(w)])
-            for r in range(w):
-                flat_per_rank[r][b] = reduced[r]
-        return flat_per_rank
+            flats[b] = self.pg.all_reduce(flats[b]).stacked
+        return flats
 
-    def _optimizer_step(self, flats) -> List[nn.Parameter]:
-        """Unflatten reduced buckets, average, step. Returns the
-        parameter list whose ``.grad`` mirrors rank 0 (for read-only
-        instrumentation)."""
+    def _optimizer_step(self, flats) -> List[np.ndarray]:
+        """Unflatten reduced buckets, average, step. Returns rank 0's
+        averaged gradients (for read-only instrumentation)."""
         w = self.world_size
         ss = self._stacked_state
-        if ss is not None:
-            params = ss.dense_parameters()
-            for p, g in zip(params, self._bucketer.unflatten_stacked(flats)):
-                p.grad = (g / w).astype(np.float32)
-            ss.dense_opt.step()
-            return params
-        for r in range(w):
-            grads = self._bucketer.unflatten(flats[r])
-            for p, g in zip(self.ranks[r].dense_parameters(), grads):
-                p.grad = (g / w).astype(np.float32)
-            self.ranks[r].dense_opt.step()
-        return self.ranks[0].dense_parameters()
+        params = ss.dense_parameters()
+        for p, g in zip(params, self._bucketer.unflatten_stacked(flats)):
+            p.grad = (g / w).astype(np.float32)
+        ss.dense_opt.step()
+        return [p.grad[0] for p in params]
 
     # ------------------------------------------------------------------
     # the training step
@@ -849,8 +747,8 @@ class NeoTrainer:
 
         Returns the global mean loss. All ranks advance together; the
         update is mathematically the single-process update on the
-        concatenated global batch, and bitwise identical between the
-        rank-stacked and looped execution modes.
+        concatenated global batch, and bitwise identical to a sequential
+        per-rank loop over the replicas.
 
         When tracing is enabled (``trace=`` at construction) each phase
         runs under a span (``trainer.bottom_mlp_fwd`` ... ``trainer.
@@ -904,15 +802,13 @@ class NeoTrainer:
 
             # dense optimizer step
             with tr.span("trainer.optimizer", cat="trainer"):
-                ref_params = self._optimizer_step(flats)
+                grads = self._optimizer_step(flats)
                 if tr.enabled:
                     # read-only instrumentation: global dense grad norm
                     # (identical on every rank after the AllReduce)
                     norm = float(np.sqrt(sum(
-                        float(np.sum(np.asarray(
-                            p.grad[0] if getattr(p, "stacked", False)
-                            else p.grad).astype(np.float64) ** 2))
-                        for p in ref_params)))
+                        float(np.sum(np.asarray(g).astype(np.float64) ** 2))
+                        for g in grads)))
                     self.metrics.histogram("trainer.grad_norm").record(norm)
         self.steps += 1
         return float(np.mean(losses))
@@ -940,9 +836,7 @@ class NeoTrainer:
                                              spans=False)
             interacted = self._interaction_forward(dense_out, pooled)
             logits = self._top_forward(interacted)
-        if isinstance(logits, np.ndarray):  # stacked (R, B) -> per-rank
-            return [logits[r].copy() for r in range(w)]
-        return logits
+        return [logits[r].copy() for r in range(w)]
 
     # ------------------------------------------------------------------
     # checkpoint restore
@@ -954,30 +848,19 @@ class NeoTrainer:
         checkpoint payloads (``dense[i]`` is parameter ``i`` at per-rank
         shape; ``opt_state[i]`` its optimizer slots).
 
-        Works identically for looped and stacked trainers, so a
-        checkpoint written by either mode resumes bitwise in the other.
-        Stacked mode broadcast-writes each value across the leading axis
-        *in place*, preserving the per-rank parameter views, and
-        restores slot state at per-rank shape: every optimizer update is
+        Each value is broadcast-written across the leading axis *in
+        place*, preserving the per-rank parameter views, and slot state
+        is restored at per-rank shape: every optimizer update is
         elementwise over the replica axis, so the first step broadcasts
         the state back to stacked shape with bitwise-identical values.
         """
         ss = self._stacked_state
-        if ss is not None:
-            for i, sp in enumerate(ss.dense_parameters()):
-                sp.data[...] = dense[i][None]
-                slot = ss.dense_opt.state_for(sp)
-                slot.clear()
-                for name, value in opt_state.get(i, {}).items():
-                    slot[name] = value.copy()
-            return
-        for state in self.ranks:
-            for i, p in enumerate(state.dense_parameters()):
-                p.data = dense[i].copy()
-                slot = state.dense_opt.state_for(p)
-                slot.clear()
-                for name, value in opt_state.get(i, {}).items():
-                    slot[name] = value.copy()
+        for i, sp in enumerate(ss.dense_parameters()):
+            sp.data[...] = dense[i][None]
+            slot = ss.dense_opt.state_for(sp)
+            slot.clear()
+            for name, value in opt_state.get(i, {}).items():
+                slot[name] = value.copy()
 
     # ------------------------------------------------------------------
     # inspection / export

@@ -56,11 +56,8 @@ class QuantizedEmbeddingTable(EmbeddingTable):
         return lowp.dequantize_int8_rowwise(codes, scale, offset)
 
     def sync_storage(self) -> None:
-        """Round the FP32 view through the storage precision (write-back).
-
-        Writes in place: when the table's ``weight`` is a view into an
-        :class:`repro.embedding.EmbeddingArena` (trainer shard packing),
-        rebinding would silently detach it from the arena storage."""
+        """Round the FP32 view through the storage precision (write-back),
+        in place."""
         self.weight[...] = self._roundtrip(self.weight).astype(np.float32)
 
     def storage_bytes(self) -> int:

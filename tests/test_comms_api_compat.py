@@ -1,11 +1,8 @@
 """API-stability tests for the comms v2 surface.
 
-The removed pre-v2 forms (string AlltoAll dispatch) must raise;
-the surviving deprecated perf-model name aliases must keep working —
-with a DeprecationWarning — and produce results identical to the v2
-forms. Plus golden wire-byte values
-proving the nbytes billing fix: fp16 payloads are billed at 2
-bytes/element, never a hard-coded 4.
+The removed pre-v2 forms (string AlltoAll dispatch) must raise. Plus
+golden wire-byte values proving the nbytes billing fix: fp16 payloads
+are billed at 2 bytes/element, never a hard-coded 4.
 """
 
 import numpy as np
@@ -51,28 +48,6 @@ class TestRemovedAlltoAllForms:
         pg = SimProcessGroup(TOPO)
         with pytest.raises(ValueError):
             pg.all_to_all(_alltoall_payload(), "sideways")
-
-
-class TestDeprecatedPerfModelNames:
-    @pytest.mark.parametrize("old_name,new_name", [
-        ("alltoall_time", "all_to_all_time"),
-        ("allreduce_time", "all_reduce_time"),
-        ("allgather_time", "all_gather_time"),
-        ("achieved_alltoall_bw", "achieved_all_to_all_bw"),
-        ("achieved_allreduce_bw", "achieved_all_reduce_bw"),
-    ])
-    def test_alias_warns_and_matches(self, old_name, new_name):
-        old_fn = getattr(perf_model, old_name)
-        new_fn = getattr(perf_model, new_name)
-        args = (2 ** 20, TOPO)
-        with pytest.warns(DeprecationWarning, match=old_name):
-            old = old_fn(*args)
-        assert old == new_fn(*args)
-
-    def test_aliases_exported(self):
-        for name in ("alltoall_time", "allreduce_time", "allgather_time",
-                     "achieved_alltoall_bw", "achieved_allreduce_bw"):
-            assert name in perf_model.__all__
 
 
 class TestGoldenFp16WireBytes:

@@ -1,6 +1,7 @@
 """Tests for checkpointing: exact resume, differential writes, quantized
 storage (Check-N-Run semantics)."""
 
+import io
 import os
 
 import numpy as np
@@ -14,6 +15,8 @@ from repro.embedding import EmbeddingTableConfig, SparseAdaGrad, SparseSGD
 from repro.models import DLRMConfig
 from repro.sharding import ShardingPlan, ShardingScheme, shard_table
 
+from .oracles.looped_trainer import LoopedNeoTrainer
+
 
 def make_trainer(world=2, seed=0, scheme=ShardingScheme.TABLE_WISE,
                  stacked=True, momentum=0.0):
@@ -26,10 +29,11 @@ def make_trainer(world=2, seed=0, scheme=ShardingScheme.TABLE_WISE,
         ranks = [i % world] if scheme == ShardingScheme.TABLE_WISE \
             else list(range(world))
         plan.tables[t.name] = shard_table(t, scheme, ranks)
-    trainer = NeoTrainer(
+    cls = NeoTrainer if stacked else LoopedNeoTrainer
+    trainer = cls(
         config, plan, ClusterTopology(num_nodes=1, gpus_per_node=world),
         dense_optimizer=lambda p: nn.SGD(p, lr=0.1, momentum=momentum),
-        sparse_optimizer=SparseSGD(lr=0.1), seed=seed, stacked=stacked)
+        sparse_optimizer=SparseSGD(lr=0.1), seed=seed)
     ds = SyntheticCTRDataset(tables, dense_dim=4, seed=1)
     return trainer, ds, config
 
@@ -107,6 +111,56 @@ class TestFullCheckpoint:
         np.testing.assert_array_equal(trainer.gather_table("t0"), saved)
 
 
+class TestCrashSafeSave:
+    def test_crash_mid_save_keeps_previous_checkpoint(self, tmp_path,
+                                                      monkeypatch):
+        """A save that dies half-way through writing leaves no truncated
+        "newest" checkpoint: list_steps() and load() still see the last
+        complete one."""
+        trainer, ds, config = make_trainer()
+        trainer.train_step(ds.batch(8, 0).split(2))
+        mgr = CheckpointManager(str(tmp_path))
+        mgr.save(trainer)
+        saved = {t.name: trainer.gather_table(t.name)
+                 for t in config.tables}
+        trainer.train_step(ds.batch(8, 1).split(2))
+
+        real_savez = np.savez
+
+        def crash_mid_write(file, **arrays):
+            buf = io.BytesIO()
+            real_savez(buf, **arrays)
+            if isinstance(file, str):  # np.savez's own path handling
+                file = open(file if file.endswith(".npz")
+                            else file + ".npz", "wb")
+            file.write(buf.getvalue()[:buf.tell() // 2])
+            file.flush()
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", crash_mid_write)
+        with pytest.raises(OSError, match="disk full"):
+            mgr.save(trainer)
+        monkeypatch.undo()
+
+        assert mgr.list_steps() == [1]
+        fresh, _, _ = make_trainer(seed=5)
+        assert mgr.load(fresh) == 1
+        for t in config.tables:
+            np.testing.assert_array_equal(fresh.gather_table(t.name),
+                                          saved[t.name])
+
+    def test_load_writes_shard_weights_in_place(self, tmp_path):
+        trainer, ds, _ = make_trainer()
+        mgr = CheckpointManager(str(tmp_path))
+        mgr.save(trainer)
+        weights = {shard: table.weight
+                   for shard, table in trainer._shard_tables.items()}
+        trainer.train_step(ds.batch(8, 0).split(2))
+        mgr.load(trainer)
+        for shard, table in trainer._shard_tables.items():
+            assert table.weight is weights[shard]
+
+
 class TestCrossPlanRestore:
     def test_tw_checkpoint_loads_into_rw_trainer(self, tmp_path):
         """Checkpoints store gathered tables, so a job can restart under
@@ -132,10 +186,11 @@ class TestCrossPlanRestore:
 
 class TestCrossFormatResume:
     """The checkpoint format is execution-mode neutral: it stores one
-    replica's dense state, so a rank-stacked run and a looped run write
-    and read the same files. A stacked-trained checkpoint must resume
-    *bitwise* on the looped path (and vice versa) — including stateful
-    optimizer buffers."""
+    replica's dense state, so the rank-stacked trainer and the looped
+    oracle (``tests/oracles/looped_trainer.py``) write and read the same
+    files. A stacked-trained checkpoint must resume *bitwise* on the
+    looped oracle (and vice versa) — including stateful optimizer
+    buffers."""
 
     @pytest.mark.parametrize("train_stacked,resume_stacked",
                              [(True, False), (False, True)])

@@ -1,5 +1,7 @@
 """Tests for the fused multi-table embedding collection."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,13 @@ class TestConstruction:
     def test_num_parameters(self):
         coll = make_collection(num_tables=3, h=10, d=4)
         assert coll.num_parameters() == 3 * 10 * 4
+
+    @pytest.mark.parametrize("ctor", [
+        FusedEmbeddingCollection, FusedEmbeddingCollection.from_configs])
+    def test_no_execution_mode_knob(self, ctor):
+        """The arena is the only execution path; the per-table loop is
+        a test oracle, not a constructor option."""
+        assert "fusion" not in inspect.signature(ctor).parameters
 
     def test_memory_bytes(self):
         coll = make_collection(num_tables=2, h=10, d=4)

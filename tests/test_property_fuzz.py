@@ -19,6 +19,8 @@ from repro.embedding import EmbeddingTableConfig, SparseSGD
 from repro.models import DLRM, DLRMConfig
 from repro.sharding import ShardingPlan, ShardingScheme, shard_table
 
+from .oracles.per_table import PerTableEmbeddings
+
 SCHEMES = [ShardingScheme.TABLE_WISE, ShardingScheme.ROW_WISE,
            ShardingScheme.COLUMN_WISE, ShardingScheme.DATA_PARALLEL]
 
@@ -135,10 +137,9 @@ def test_arena_fusion_bitwise_matches_per_table_loop(scenario):
                                     pooling_mode=p)
                for i, (h, p) in enumerate(zip(heights, pooling))]
     arena = FusedEmbeddingCollection.from_configs(
-        configs, rng=np.random.default_rng(seed), fusion="arena")
-    loop = FusedEmbeddingCollection(
-        [type(t)(t.config, weight=t.weight.copy()) for t in arena.tables],
-        fusion="loop")
+        configs, rng=np.random.default_rng(seed))
+    loop = PerTableEmbeddings(
+        [type(t)(t.config, weight=t.weight.copy()) for t in arena.tables])
     batch, dy = {}, {}
     for c in configs:
         lengths = rng.integers(0, max_len + 1, size=batch_size)

@@ -1,15 +1,18 @@
 """Rank-stacked trainer vs the looped reference oracle.
 
-The stacked path (``NeoTrainer(..., stacked=True)``, the default) packs
-all ranks' dense state into leading-axis ``(R, ...)`` arrays and
-advances every replica with one batched kernel per phase. It is only
-allowed to exist because it is *bitwise identical* to the sequential
-per-rank loop: this file fuzzes that identity over random
-architectures, world sizes, sharding schemes and optimizers — losses,
-dense parameters, comms byte/call logs, and eval outputs — and pins
+:class:`NeoTrainer` packs all ranks' dense state into leading-axis
+``(R, ...)`` arrays and advances every replica with one batched kernel
+per phase. It is only allowed to exist because it is *bitwise
+identical* to the sequential per-rank loop
+(``tests/oracles/looped_trainer.py``): this file fuzzes that identity
+over random architectures, world sizes, sharding schemes, dense and
+sparse optimizers — losses, dense parameters, gathered tables, comms
+byte/call logs, and eval outputs — and pins
 the compatibility surface (per-rank ``dense_opt`` facade, checkpoint
 state, ``replicas_in_sync``) that the rest of the repo reads through.
 """
+
+import inspect
 
 import numpy as np
 import pytest
@@ -20,12 +23,16 @@ from repro import nn
 from repro.comms import ClusterTopology
 from repro.core import NeoTrainer
 from repro.data import SyntheticCTRDataset
-from repro.embedding import EmbeddingTableConfig, SparseAdaGrad, SparseSGD
+from repro.embedding import (EmbeddingTableConfig, RowWiseAdaGrad,
+                             SparseAdaGrad, SparseSGD)
 from repro.models import DLRMConfig
 from repro.sharding import ShardingPlan, ShardingScheme, shard_table
 
+from .oracles.looped_trainer import LoopedNeoTrainer
+
 SCHEMES = [ShardingScheme.TABLE_WISE, ShardingScheme.ROW_WISE,
-           ShardingScheme.COLUMN_WISE, ShardingScheme.DATA_PARALLEL]
+           ShardingScheme.TABLE_ROW_WISE, ShardingScheme.COLUMN_WISE,
+           ShardingScheme.DATA_PARALLEL]
 
 OPTIMIZERS = {
     "sgd": lambda p: nn.SGD(p, lr=0.1),
@@ -34,26 +41,41 @@ OPTIMIZERS = {
     "lamb": lambda p: nn.LAMB(p, lr=0.01),
 }
 
+SPARSE_OPTIMIZERS = {
+    "sgd": lambda: SparseSGD(lr=0.1),
+    "adagrad": lambda: SparseAdaGrad(lr=0.1),
+    "rowwise_adagrad": lambda: RowWiseAdaGrad(lr=0.1),
+}
+
+
+def table_ranks(scheme, i, world):
+    """Owner ranks of table ``i``: one rank for table-wise, the first
+    half of the world (one "node") for table-row-wise, else all."""
+    if scheme == ShardingScheme.TABLE_WISE:
+        return [i % world]
+    if scheme == ShardingScheme.TABLE_ROW_WISE:
+        return list(range(max(1, world // 2)))
+    return list(range(world))
+
 
 def build_pair(tables, emb_dim, world, schemes, seed, optimizer="sgd",
-               dense_dim=3):
+               sparse_optimizer="sgd", dense_dim=3):
     """One looped and one stacked trainer with identical state."""
     config = DLRMConfig(dense_dim=dense_dim, bottom_mlp=(6, emb_dim),
                         tables=tables, top_mlp=(6,))
     trainers = []
-    for stacked in (False, True):
+    for cls in (LoopedNeoTrainer, NeoTrainer):
         plan = ShardingPlan(world_size=world)
         for i, t in enumerate(tables):
             scheme = schemes[t.name]
-            ranks = [i % world] if scheme == ShardingScheme.TABLE_WISE \
-                else list(range(world))
-            plan.tables[t.name] = shard_table(t, scheme, ranks)
+            plan.tables[t.name] = shard_table(
+                t, scheme, table_ranks(scheme, i, world))
         plan.validate()
-        trainers.append(NeoTrainer(
+        trainers.append(cls(
             config, plan, ClusterTopology(num_nodes=1, gpus_per_node=world),
             dense_optimizer=OPTIMIZERS[optimizer],
-            sparse_optimizer=SparseSGD(lr=0.1), seed=seed,
-            stacked=stacked))
+            sparse_optimizer=SPARSE_OPTIMIZERS[sparse_optimizer](),
+            seed=seed))
     return trainers[0], trainers[1]
 
 
@@ -88,8 +110,10 @@ def stacked_scenario(draw):
         for i in range(num_tables))
     schemes = {t.name: draw(st.sampled_from(SCHEMES)) for t in tables}
     optimizer = draw(st.sampled_from(sorted(OPTIMIZERS)))
+    sparse_optimizer = draw(st.sampled_from(sorted(SPARSE_OPTIMIZERS)))
     seed = draw(st.integers(min_value=0, max_value=10_000))
-    return tables, emb_dim, world, batch_per_rank, schemes, optimizer, seed
+    return (tables, emb_dim, world, batch_per_rank, schemes, optimizer,
+            sparse_optimizer, seed)
 
 
 @given(stacked_scenario())
@@ -97,13 +121,15 @@ def stacked_scenario(draw):
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
 def test_stacked_bitwise_matches_looped(scenario):
-    """Random configs x world sizes x schemes x optimizers: per-step
-    losses, all dense params, gathered tables, comms byte/call totals
-    and eval outputs are bitwise equal between the two modes."""
-    tables, emb_dim, world, batch_per_rank, schemes, optimizer, seed = \
-        scenario
+    """Random configs x world sizes x schemes x dense and sparse
+    optimizers: per-step losses, all dense params, gathered tables,
+    comms byte/call totals and eval outputs are bitwise equal between
+    the stacked trainer and the looped oracle."""
+    (tables, emb_dim, world, batch_per_rank, schemes, optimizer,
+     sparse_optimizer, seed) = scenario
     looped, stacked = build_pair(tables, emb_dim, world, schemes, seed,
-                                 optimizer=optimizer)
+                                 optimizer=optimizer,
+                                 sparse_optimizer=sparse_optimizer)
     ds = SyntheticCTRDataset(tables, dense_dim=3, seed=seed)
     for i in range(3):
         split = ds.batch(batch_per_rank * world, i).split(world)
@@ -186,7 +212,6 @@ class TestOptimizerFacade:
 class TestStackedStateLayout:
     def test_parameters_are_views_of_stacked_storage(self):
         _, stacked, ds, _ = two_table_setup()
-        assert stacked.stacked
         sp_list = stacked._stacked_state.dense_parameters()
         for r in range(2):
             for p, sp in zip(stacked.ranks[r].dense_parameters(), sp_list):
@@ -198,10 +223,20 @@ class TestStackedStateLayout:
         for p, sp in zip(stacked.ranks[0].dense_parameters(), sp_list):
             assert np.shares_memory(p.data, sp.data)
 
-    def test_looped_flag_off(self):
+    def test_looped_oracle_is_unstacked(self):
+        """The oracle really loops: no stacked state, and every rank
+        steps its own optimizer over its own parameters."""
         looped, _, _, _ = two_table_setup()
-        assert not looped.stacked
         assert looped._stacked_state is None
+        for state in looped.ranks:
+            assert state.dense_opt.params == state.dense_parameters()
+            assert not any(p.stacked for p in state.dense_parameters())
+
+    @pytest.mark.parametrize("ctor", [NeoTrainer, NeoTrainer.from_planner])
+    def test_no_execution_mode_knob(self, ctor):
+        """Rank-stacking is the only production path; the looped mode
+        is a test oracle, not a constructor option."""
+        assert "stacked" not in inspect.signature(ctor).parameters
 
 
 def test_stacked_smoke_r64():
