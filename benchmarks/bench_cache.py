@@ -25,35 +25,35 @@ rows on every step (the caches are exact placement models).
 
 Run standalone to write ``BENCH_cache.json``::
 
-    PYTHONPATH=src python benchmarks/bench_cache.py \
-        [--quick] [--out PATH] [--min-hit-rate X]
+    PYTHONPATH=src python benchmarks/bench_cache.py [--quick] [--out PATH]
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
 
 import numpy as np
 
+from _harness import Summary, Table, main as harness_main
 from repro.cache import (ArrayBackingStore, PrefetchPipeline, make_cache)
 from repro.data import zipf_indices
 from repro.obs import Tracer
 
 FULL_CONFIG = dict(
-    mode="full", rows=100_000, dim=32, capacity=4096, steps=30,
+    rows=100_000, dim=32, capacity=4096, steps=30,
     ids_per_step=2048, warm_steps=24, alphas=(1.01, 1.05, 1.1, 1.2),
     uvm_rows_per_page=512, chunk_rows=64, seed=0)
 QUICK_CONFIG = dict(
-    FULL_CONFIG, mode="quick", rows=20_000, dim=16, capacity=1024,
+    FULL_CONFIG, rows=20_000, dim=16, capacity=1024,
     steps=12, ids_per_step=512, warm_steps=20, alphas=(1.05, 1.1))
 
 PCIE_BW = 12e9   # PCIe gen3 x16 sustained
 HBM_BW = 850e9   # per-GPU HBM stream
 
 VARIANTS = ("set_associative", "uvm", "freq_aware", "freq+prefetch")
+
+MIN_HIT_RATE = 0.5  # frequency-aware hit rate at the largest alpha
 
 
 def make_traces(config, alpha):
@@ -151,32 +151,37 @@ def measure(config):
             for alpha in config["alphas"]}
 
 
-def as_json(config, results):
-    sweep = []
-    for alpha, by_variant in results.items():
-        sweep.append({"alpha": alpha, "variants": by_variant})
+def summarize(config, results):
     gated = [a for a in config["alphas"] if a >= 1.05]
-    return {
-        "benchmark": "cache",
-        "config": {k: list(v) if isinstance(v, tuple) else v
-                   for k, v in config.items()},
-        "bandwidths": {"pcie_bw": PCIE_BW, "hbm_bw": HBM_BW},
-        "sweep": sweep,
-        "bitwise_exact": all(v["bitwise_exact"]
-                             for by in results.values()
-                             for v in by.values()),
-        "freq_aware_beats_set_associative": all(
-            results[a]["freq_aware"]["hit_rate"]
-            > results[a]["set_associative"]["hit_rate"]
-            and results[a]["freq_aware"]["effective_bandwidth_gbs"]
-            > results[a]["set_associative"]["effective_bandwidth_gbs"]
-            for a in gated),
-        "prefetch_overlap_measured": all(
-            results[a]["freq+prefetch"]["prefetch_spans"] > 0
-            and results[a]["freq+prefetch"]["prefetch_overlap"][
-                "hidden_s"] > 0
-            for a in config["alphas"]),
-    }
+    top_hit = results[config["alphas"][-1]]["freq_aware"]["hit_rate"]
+    return Summary(
+        metrics={
+            "bandwidths": {"pcie_bw": PCIE_BW, "hbm_bw": HBM_BW},
+            "sweep": [{"alpha": alpha, "variants": by_variant}
+                      for alpha, by_variant in results.items()],
+        },
+        gates={
+            f"freq_aware_hit_rate_at_top_alpha >= {MIN_HIT_RATE:g}":
+                top_hit >= MIN_HIT_RATE,
+            "bitwise_exact": all(v["bitwise_exact"]
+                                 for by in results.values()
+                                 for v in by.values()),
+            "freq_aware_beats_set_associative": all(
+                results[a]["freq_aware"]["hit_rate"]
+                > results[a]["set_associative"]["hit_rate"]
+                and results[a]["freq_aware"]["effective_bandwidth_gbs"]
+                > results[a]["set_associative"]["effective_bandwidth_gbs"]
+                for a in gated),
+            "prefetch_overlap_measured": all(
+                results[a]["freq+prefetch"]["prefetch_spans"] > 0
+                and results[a]["freq+prefetch"]["prefetch_overlap"][
+                    "hidden_s"] > 0
+                for a in config["alphas"]),
+        },
+        tables=[Table("cache: hit rate / effective bandwidth vs Zipf alpha "
+                      f"({config['rows']:,} rows, capacity "
+                      f"{config['capacity']:,}, dim {config['dim']})",
+                      HEADER, table_rows(results))])
 
 
 HEADER = ["alpha", "variant", "hit rate", "miss traffic", "eff. BW",
@@ -196,59 +201,9 @@ def table_rows(results):
     return rows
 
 
-def _print_table(header, rows):
-    widths = [max(len(str(h)), *(len(str(r[c])) for r in rows))
-              for c, h in enumerate(header)]
-    print("  ".join(str(h).rjust(w) for h, w in zip(header, widths)))
-    for r in rows:
-        print("  ".join(str(v).rjust(w) for v, w in zip(r, widths)))
-
-
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="small workload for CI smoke runs")
-    parser.add_argument("--out", default="BENCH_cache.json",
-                        help="output JSON path")
-    parser.add_argument("--min-hit-rate", type=float, default=0.5,
-                        metavar="X",
-                        help="fail unless the frequency-aware hit rate at "
-                             "the largest alpha is >= X")
-    args = parser.parse_args(argv)
-    config = dict(QUICK_CONFIG if args.quick else FULL_CONFIG)
-    results = measure(config)
-    doc = as_json(config, results)
-    with open(args.out, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
-
-    print("cache sweep vs Zipf alpha "
-          f"({config['rows']:,} rows, capacity {config['capacity']:,}, "
-          f"dim {config['dim']}):")
-    _print_table(HEADER, table_rows(results))
-    print(f"\nall reads bitwise-exact: {doc['bitwise_exact']}")
-    print("freq-aware beats set-associative at alpha >= 1.05: "
-          f"{doc['freq_aware_beats_set_associative']}")
-    print(f"prefetch overlap measured via spans: "
-          f"{doc['prefetch_overlap_measured']}")
-    print(f"wrote {args.out}")
-
-    failures = []
-    top_alpha = config["alphas"][-1]
-    top_hit = results[top_alpha]["freq_aware"]["hit_rate"]
-    if top_hit < args.min_hit_rate:
-        failures.append(f"freq-aware hit rate {top_hit:.3f} at alpha "
-                        f"{top_alpha} below the {args.min_hit_rate} floor")
-    if not doc["bitwise_exact"]:
-        failures.append("a cached read diverged from the backing store")
-    if not doc["freq_aware_beats_set_associative"]:
-        failures.append("freq-aware lost to set-associative at some "
-                        "alpha >= 1.05")
-    if not doc["prefetch_overlap_measured"]:
-        failures.append("no hidden prefetch time was measured")
-    for f in failures:
-        print(f"FAIL: {f}", file=sys.stderr)
-    return 1 if failures else 0
+    return harness_main("cache", QUICK_CONFIG, FULL_CONFIG, measure,
+                        summarize, argv)
 
 
 def test_freq_aware_beats_baselines(benchmark, report):

@@ -27,26 +27,28 @@ identical re-run must produce an identical merged report.
 
 Run standalone to write ``BENCH_fleet.json``::
 
-    PYTHONPATH=src python benchmarks/bench_fleet.py \
-        [--quick] [--out PATH] [--min-scaling X]
+    PYTHONPATH=src python benchmarks/bench_fleet.py [--quick] [--out PATH]
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 
+import bench_serving
+from bench_serving import report_dict
+from _harness import Summary, Table, main as harness_main
 from repro.fleet import (AutoscalerConfig, CapacityPoint, DayCurve,
                          FleetTraffic, RouterPolicy, ServingFleet,
                          capacity_sweep, overload_sweep, replica_warmup_s,
                          run_autoscaled_day, smallest_static_fleet)
-from repro.serving import (BatchingPolicy, InferenceServer, ServingPerfModel,
-                           run_load_test)
+from repro.serving import (BatchingPolicy, InferenceServer, LoadReport,
+                           ServingPerfModel, run_load_test)
 
 FULL_CONFIG = dict(
     num_tables=4, rows=400, dim=16, dense_dim=8, precision="fp32", seed=0,
-    mode="full",
+    # the bench_serving config whose batched 1x report an N=1 fleet must
+    # reproduce bitwise
+    parity_serving=bench_serving.FULL_CONFIG,
     # capacity / overload sweeps: dispatch-overhead-dominated replicas
     # (~1.5k qps each) so a few hundred requests per replica genuinely
     # saturate the fleet and the admission controller has to shed
@@ -61,7 +63,7 @@ FULL_CONFIG = dict(
     day_max_replicas=4, day_qps_factor=1.25)
 QUICK_CONFIG = dict(
     FULL_CONFIG, num_tables=3, rows=200, dim=8, dense_dim=6,
-    mode="quick",
+    parity_serving=bench_serving.QUICK_CONFIG,
     per_replica_requests=250, overload_scales=(0.5, 1.0, 2.0),
     day_duration_s=40.0, day_window_s=1.0, day_users=20_000)
 
@@ -69,9 +71,10 @@ QUICK_CONFIG = dict(
 # wide enough that static peak provisioning wastes most of the night
 DAY_HOURLY = (0.2, 0.2, 0.2, 0.3, 0.5, 1.0, 2.0, 3.0, 2.6, 1.6, 0.8, 0.4)
 
+MIN_SCALING = 0.8  # capacity efficiency at the largest replica count
+
 
 def build_setup(config):
-    import bench_serving
     return bench_serving.build_setup(config)
 
 
@@ -187,11 +190,9 @@ def measure_day(config, servable, dataset):
 
 def measure_parity(config):
     """N=1 round-robin fleet vs bench_serving's own batched 1x load
-    point, using bench_serving's mode-matched config — the fleet must
-    reproduce that report bitwise."""
-    import bench_serving
-    sconfig = (bench_serving.QUICK_CONFIG if config["mode"] == "quick"
-               else bench_serving.FULL_CONFIG)
+    point, at ``config["parity_serving"]`` — the fleet must reproduce
+    that report bitwise."""
+    sconfig = config["parity_serving"]
     servable, dataset = bench_serving.build_setup(sconfig)
     policy = bench_serving.policies(sconfig)["batched"]
     perf = ServingPerfModel()
@@ -245,13 +246,6 @@ def measure(config):
     }
 
 
-def report_dict(r):
-    d = dict(r.__dict__)
-    d.pop("samples_s", None)
-    d["shed_fraction"] = r.shed_fraction
-    return d
-
-
 def day_dict(day_report):
     return {
         "replica_seconds": day_report.replica_seconds,
@@ -268,47 +262,61 @@ def day_dict(day_report):
     }
 
 
-def as_json(config, results):
+def summarize(config, results):
     cap, over, day = results["capacity"], results["overload"], results["day"]
-    return {
-        "benchmark": "fleet",
-        "config": {k: list(v) if isinstance(v, tuple) else v
-                   for k, v in config.items()},
-        "capacity": {
-            "per_replica_capacity_qps": cap["per_replica_capacity_qps"],
-            "per_replica_offered_qps": cap["per_replica_offered_qps"],
-            "points": [{"replicas": p.replicas,
-                        "offered_qps": p.offered_qps,
-                        "efficiency": p.efficiency,
-                        "report": report_dict(p.report)}
-                       for p in cap["points"]],
+    return Summary(
+        metrics={
+            "capacity": {
+                "per_replica_capacity_qps": cap["per_replica_capacity_qps"],
+                "per_replica_offered_qps": cap["per_replica_offered_qps"],
+                "points": [{"replicas": p.replicas,
+                            "offered_qps": p.offered_qps,
+                            "efficiency": p.efficiency,
+                            "report": report_dict(p.report)}
+                           for p in cap["points"]],
+            },
+            "scaling_efficiency_at_max": cap["scaling_efficiency_at_max"],
+            "overload": {
+                "fleet_capacity_qps": over["fleet_capacity_qps"],
+                "scales": over["scales"],
+                "reports": [report_dict(r) for r in over["reports"]],
+                "plateau_ratio": over["plateau_ratio"],
+            },
+            "day": {
+                "mean_qps": day["mean_qps"],
+                "per_replica_capacity_qps": day["per_replica_capacity_qps"],
+                "num_requests": day["num_requests"],
+                "num_users": day["num_users"],
+                "warmup_s": day["warmup_s"],
+                "elastic": day_dict(day["elastic"]),
+                "static": day_dict(day["static"]),
+                "replica_seconds_saved_frac":
+                    day["replica_seconds_saved_frac"],
+            },
         },
-        "scaling_efficiency_at_max": cap["scaling_efficiency_at_max"],
-        "overload": {
-            "fleet_capacity_qps": over["fleet_capacity_qps"],
-            "scales": over["scales"],
-            "reports": [report_dict(r) for r in over["reports"]],
-            "plateau_ratio": over["plateau_ratio"],
+        gates={
+            f"scaling_efficiency_at_max >= {MIN_SCALING:g}":
+                cap["scaling_efficiency_at_max"] >= MIN_SCALING,
+            "autoscaler_slo_held": day["elastic"].slo_held,
+            "autoscaler_cheaper_than_static":
+                day["elastic"].replica_seconds
+                < day["static"].replica_seconds,
+            "n1_round_robin_matches_bench_serving":
+                results["parity"]["matches"],
+            "deterministic_rerun_identical":
+                results["determinism"]["identical"],
         },
-        "day": {
-            "mean_qps": day["mean_qps"],
-            "per_replica_capacity_qps": day["per_replica_capacity_qps"],
-            "num_requests": day["num_requests"],
-            "num_users": day["num_users"],
-            "warmup_s": day["warmup_s"],
-            "elastic": day_dict(day["elastic"]),
-            "static": day_dict(day["static"]),
-            "replica_seconds_saved_frac":
-                day["replica_seconds_saved_frac"],
-        },
-        "autoscaler_slo_held": day["elastic"].slo_held,
-        "autoscaler_cheaper_than_static":
-            day["elastic"].replica_seconds < day["static"].replica_seconds,
-        "n1_round_robin_matches_bench_serving":
-            results["parity"]["matches"],
-        "deterministic_rerun_identical":
-            results["determinism"]["identical"],
-    }
+        tables=[
+            Table("fleet: capacity vs replicas (p2c, predicted admission, "
+                  f"{config['overload']}x overload per replica)",
+                  CapacityPoint.ROW_HEADER, capacity_rows(results)),
+            Table("fleet: goodput under overload",
+                  OVERLOAD_HEADER, overload_rows(over)),
+            Table(f"fleet: autoscaled vs static diurnal day "
+                  f"({day['num_requests']} requests, "
+                  f"{day['num_users']} users)",
+                  DAY_HEADER, day_rows(results)),
+        ])
 
 
 def capacity_rows(results):
@@ -330,72 +338,17 @@ def day_rows(results):
 
 DAY_HEADER = ["fleet", "replica-s", "peak", "trough", "p99 ms",
               "SLO att.", "held"]
+OVERLOAD_HEADER = ["scale"] + LoadReport.ROW_HEADER
 
 
-def _print_table(header, rows):
-    widths = [max(len(str(h)), *(len(str(r[c])) for r in rows))
-              for c, h in enumerate(header)]
-    print("  ".join(str(h).rjust(w) for h, w in zip(header, widths)))
-    for r in rows:
-        print("  ".join(str(v).rjust(w) for v, w in zip(r, widths)))
+def overload_rows(overload):
+    return [[f"{s:.1f}x"] + r.row()
+            for s, r in zip(overload["scales"], overload["reports"])]
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="small workload for CI smoke runs")
-    parser.add_argument("--out", default="BENCH_fleet.json",
-                        help="output JSON path")
-    parser.add_argument("--min-scaling", type=float, default=0.8,
-                        metavar="X",
-                        help="fail unless capacity efficiency at the "
-                             "largest replica count is >= X")
-    args = parser.parse_args(argv)
-    config = dict(QUICK_CONFIG if args.quick else FULL_CONFIG)
-    config["mode"] = "quick" if args.quick else "full"
-    results = measure(config)
-    doc = as_json(config, results)
-    with open(args.out, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
-
-    print("capacity vs replicas (power-of-two routing, "
-          f"{config['overload']}x overload per replica):")
-    _print_table(CapacityPoint.ROW_HEADER, capacity_rows(results))
-    print(f"\ngoodput plateau at {config['overload_scales'][-1]}x "
-          f"capacity: {results['overload']['plateau_ratio']:.3f}x of "
-          f"the 1x goodput")
-    print("\nautoscaled vs static diurnal day "
-          f"({results['day']['num_requests']} requests, "
-          f"{results['day']['num_users']} users, warm-up "
-          f"{results['day']['warmup_s'] * 1e3:.0f} ms):")
-    _print_table(DAY_HEADER, day_rows(results))
-    print(f"\nreplica-seconds saved by elasticity: "
-          f"{results['day']['replica_seconds_saved_frac'] * 100:.0f}%")
-    print(f"N=1 round-robin == bench_serving single server: "
-          f"{doc['n1_round_robin_matches_bench_serving']}")
-    print(f"re-run bitwise identical: "
-          f"{doc['deterministic_rerun_identical']}")
-    print(f"wrote {args.out}")
-
-    failures = []
-    eff = doc["scaling_efficiency_at_max"]
-    if eff < args.min_scaling:
-        failures.append(f"capacity efficiency {eff:.3f} at "
-                        f"N={config['replica_counts'][-1]} below the "
-                        f"{args.min_scaling:.2f} floor")
-    if not doc["autoscaler_slo_held"]:
-        failures.append("autoscaler missed the day-level SLO")
-    if not doc["autoscaler_cheaper_than_static"]:
-        failures.append("autoscaler used more replica-seconds than the "
-                        "static baseline")
-    if not doc["n1_round_robin_matches_bench_serving"]:
-        failures.append("N=1 fleet diverged from the single-server report")
-    if not doc["deterministic_rerun_identical"]:
-        failures.append("re-run produced a different merged report")
-    for f in failures:
-        print(f"FAIL: {f}", file=sys.stderr)
-    return 1 if failures else 0
+    return harness_main("fleet", QUICK_CONFIG, FULL_CONFIG, measure,
+                        summarize, argv)
 
 
 def test_capacity_scaling(benchmark, report):
@@ -420,10 +373,8 @@ def test_overload_plateau(benchmark, report):
     results = benchmark.pedantic(
         lambda: measure_overload(config, servable, dataset),
         rounds=1, iterations=1)
-    rows = [[f"{s:.1f}x"] + r.row()
-            for s, r in zip(results["scales"], results["reports"])]
-    report("fleet: goodput under overload",
-           ["scale"] + type(results["reports"][0]).ROW_HEADER, rows)
+    report("fleet: goodput under overload", OVERLOAD_HEADER,
+           overload_rows(results))
     assert results["plateau_ratio"] >= 0.85
     # past capacity the fleet sheds rather than queueing without bound
     assert results["reports"][-1].shed_fraction > 0

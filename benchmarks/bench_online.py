@@ -21,15 +21,15 @@ Run standalone to write ``BENCH_online.json``::
 
 Exit is nonzero unless at least one hot-swap completed, no request was
 shed during a swap, the staleness->NE-gap curve is monotone over >= 3
-cadences, and the swap-every-step schedule equals pure serving bitwise.
+cadences, the swap-every-step schedule equals pure serving bitwise and
+the never-swap run equals pure training bitwise.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 
+from _harness import Summary, Table, main as harness_main
 from repro import nn
 from repro.comms import ClusterTopology
 from repro.core import NeoTrainer, TrainingLoop
@@ -38,9 +38,9 @@ from repro.embedding import EmbeddingTableConfig, SparseSGD
 from repro.models import DLRMConfig
 from repro.models.zoo import full_spec
 from repro.online import OnlineConfig, cadence_from_sizing, run_cadence_sweep
-from repro.online.report import OnlineReport, render_table
+from repro.online.report import OnlineReport
 from repro.serving import InferenceServer, PoissonLoadGen, freeze
-from repro.serving.loadgen import summarize
+from repro.serving.loadgen import summarize as summarize_load
 from repro.sharding import ShardingPlan, ShardingScheme, shard_table
 
 FULL_CONFIG = dict(num_tables=4, rows=200, dim=8, dense_dim=6,
@@ -102,9 +102,9 @@ def pure_serving_report(config):
     gen = PoissonLoadGen.for_duration(config["qps"], horizon,
                                       seed=config["seed"])
     result = InferenceServer(servable).serve(gen.requests(loop.dataset))
-    return summarize(result, offered_qps=config["qps"],
-                     num_offered=gen.num_requests,
-                     slo_s=config["slo_ms"] * 1e-3)
+    return summarize_load(result, offered_qps=config["qps"],
+                          num_offered=gen.num_requests,
+                          slo_s=config["slo_ms"] * 1e-3)
 
 
 def measure(config):
@@ -132,73 +132,42 @@ def measure(config):
     }
 
 
-def as_json(config, results):
+def summarize(config, results):
     swap_every, step_time_s, sizing = cadence_from_sizing(
         full_spec(SIZING_SPEC), SIZING_TARGET_QPS, SIZING_FRESHNESS_S)
-    out = dict(results["report"].to_json())
-    out.update({
-        "benchmark": "online",
-        "config": {k: list(v) if isinstance(v, tuple) else v
-                   for k, v in config.items()},
-        "swap_every_step_matches_pure_serving":
-            results["swap_every_step_matches_pure_serving"],
-        "never_swap_matches_pure_training":
-            results["never_swap_matches_pure_training"],
-        "sizing_derived_cadence": {
-            "spec": SIZING_SPEC,
-            "target_qps": SIZING_TARGET_QPS,
-            "freshness_budget_s": SIZING_FRESHNESS_S,
-            "nodes": sizing.nodes,
-            "achieved_qps": sizing.achieved_qps,
-            "train_step_time_s": step_time_s,
-            "swap_every_steps": swap_every,
+    report = results["report"]
+    metrics = report.to_json()
+    del metrics["ne_gap_monotone_in_staleness"]  # a gate, below
+    metrics["sizing_derived_cadence"] = {
+        "spec": SIZING_SPEC,
+        "target_qps": SIZING_TARGET_QPS,
+        "freshness_budget_s": SIZING_FRESHNESS_S,
+        "nodes": sizing.nodes,
+        "achieved_qps": sizing.achieved_qps,
+        "train_step_time_s": step_time_s,
+        "swap_every_steps": swap_every,
+    }
+    return Summary(
+        metrics=metrics,
+        gates={
+            "total_swaps >= 1": results["total_swaps"] >= 1,
+            "max_shed_during_swap == 0":
+                results["max_shed_during_swap"] == 0,
+            "ne_gap_monotone_in_staleness":
+                results["monotone"] and len(report.points) >= 3,
+            "swap_every_step_matches_pure_serving":
+                results["swap_every_step_matches_pure_serving"],
+            "never_swap_matches_pure_training":
+                results["never_swap_matches_pure_training"],
         },
-    })
-    return out
+        tables=[Table("online: staleness vs NE vs goodput "
+                      f"(fresh NE {report.fresh_ne:.5f})",
+                      OnlineReport.ROW_HEADER, report.rows())])
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="small workload for CI smoke runs")
-    parser.add_argument("--out", default="BENCH_online.json",
-                        help="output JSON path")
-    args = parser.parse_args(argv)
-    config = dict(QUICK_CONFIG if args.quick else FULL_CONFIG)
-    config["mode"] = "quick" if args.quick else "full"
-    results = measure(config)
-    with open(args.out, "w") as f:
-        json.dump(as_json(config, results), f, indent=2)
-        f.write("\n")
-    report = results["report"]
-    print(render_table(OnlineReport.ROW_HEADER, report.rows()))
-    print(f"\nfresh model NE: {report.fresh_ne:.5f}")
-    print(f"completed hot-swaps: {results['total_swaps']}, "
-          f"shed during swap: {results['max_shed_during_swap']}")
-    print("swap-every-step == pure serving (bitwise): "
-          f"{results['swap_every_step_matches_pure_serving']}")
-    print("never-swap == pure training (bitwise): "
-          f"{results['never_swap_matches_pure_training']}")
-    print(f"wrote {args.out}")
-
-    failures = []
-    if results["total_swaps"] < 1:
-        failures.append("no hot-swap completed")
-    if results["max_shed_during_swap"] != 0:
-        failures.append(
-            f"{results['max_shed_during_swap']} requests shed during swap")
-    if len(report.points) < 3 or not results["monotone"]:
-        failures.append("staleness->NE-gap curve not monotone over >= 3 "
-                        "cadences")
-    if not results["swap_every_step_matches_pure_serving"]:
-        failures.append("swap-every-step schedule diverged from pure "
-                        "serving")
-    if not results["never_swap_matches_pure_training"]:
-        failures.append("serving traffic perturbed the training "
-                        "trajectory")
-    for f in failures:
-        print(f"FAIL: {f}", file=sys.stderr)
-    return 1 if failures else 0
+    return harness_main("online", QUICK_CONFIG, FULL_CONFIG, measure,
+                        summarize, argv)
 
 
 def test_online_curve(benchmark, report):
@@ -206,15 +175,9 @@ def test_online_curve(benchmark, report):
     results = benchmark.pedantic(measure, args=(dict(QUICK_CONFIG),),
                                  rounds=1, iterations=1)
     rep = results["report"]
-    report("online: staleness vs NE vs goodput "
-           f"(fresh NE {rep.fresh_ne:.5f})",
-           OnlineReport.ROW_HEADER, rep.rows())
-    assert results["total_swaps"] >= 1
-    assert results["max_shed_during_swap"] == 0
-    assert len(rep.points) >= 3
-    assert results["monotone"]
-    assert results["swap_every_step_matches_pure_serving"]
-    assert results["never_swap_matches_pure_training"]
+    summary = summarize(dict(QUICK_CONFIG), results)
+    report(*summary.tables[0])
+    assert all(summary.gates.values())
     # the request path is cadence-invariant: identical goodput and p99
     goodputs = {p.goodput_qps for p in rep.points}
     p99s = {p.p99_s for p in rep.points}
@@ -224,8 +187,8 @@ def test_online_curve(benchmark, report):
 def test_deterministic_json(benchmark, report):
     """Same seed, same config -> identical serialized results."""
     config = dict(QUICK_CONFIG, num_steps=4, cadences=(1, 2, 0))
-    a = as_json(config, measure(config))
-    b = benchmark.pedantic(lambda: as_json(config, measure(config)),
+    a = summarize(config, measure(config))
+    b = benchmark.pedantic(lambda: summarize(config, measure(config)),
                            rounds=1, iterations=1)
     report("online determinism", ["check", "result"],
            [["json identical across runs", a == b]])

@@ -28,11 +28,10 @@ Run standalone to write ``BENCH_planner.json``::
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from dataclasses import replace
 
+from _harness import Summary, Table, main as harness_main
 from repro.data import SyntheticCTRDataset
 from repro.embedding import EmbeddingTableConfig, TTEmbeddingTable
 from repro.fleet import MultiTenantFleet, TenantSpec
@@ -44,7 +43,7 @@ from repro.serving import (BatchingPolicy, PoissonLoadGen, ServingPerfModel,
                            freeze)
 
 FULL_CONFIG = dict(
-    mode="full", seed=0,
+    seed=0,
     # planted planner workload: the floor sits between the sensitive
     # table's fp16 error (~1e-3) and its bf16/int8 errors (~8e-3/1.2e-2)
     sensitive_scale=50.0, tt_ranks=(2, 2), budget_frac=0.25,
@@ -58,7 +57,7 @@ FULL_CONFIG = dict(
     tenant_max_batch=(8, 8, 16), tenant_max_wait_ms=(1.0, 2.0, 5.0),
     hbm_scale=1.05, hbm_bw=900e9, dram_link_bw=9e9, overhead_s=1e-3,
     total_qps=2000.0, trace_s=0.25, num_replicas=6)
-QUICK_CONFIG = dict(FULL_CONFIG, mode="quick", eval_batch=128,
+QUICK_CONFIG = dict(FULL_CONFIG, eval_batch=128,
                     trace_s=0.1)
 
 ZOO_SEEDS = {"small": 0, "medium": 1, "large": 2}
@@ -237,36 +236,49 @@ def tenancy_dict(mode_result):
     }
 
 
-def as_json(config, results):
+def summarize(config, results):
     planner, tenancy = results["planner"], results["tenancy"]
-    return {
-        "benchmark": "planner",
-        "config": {k: list(v) if isinstance(v, tuple) else v
-                   for k, v in config.items()},
-        "planner": {
-            "full_bytes": planner["full_bytes"],
-            "budget_bytes": planner["budget_bytes"],
-            "mixed": planner["mixed"].as_dict(),
-            "servable_bytes": planner["servable_bytes"],
-            "uniforms": planner["uniforms"],
-            "feasible_uniforms": planner["feasible_uniforms"],
+    mixed = planner["mixed"]
+    return Summary(
+        metrics={
+            "planner": {
+                "full_bytes": planner["full_bytes"],
+                "budget_bytes": planner["budget_bytes"],
+                "mixed": mixed.as_dict(),
+                "servable_bytes": planner["servable_bytes"],
+                "uniforms": planner["uniforms"],
+                "feasible_uniforms": planner["feasible_uniforms"],
+            },
+            "tenancy": {
+                "num_requests": tenancy["num_requests"],
+                "offered_qps": tenancy["offered_qps"],
+                "hbm_per_node_bytes": tenancy["hbm_per_node_bytes"],
+                "combined_model_bytes": tenancy["combined_model_bytes"],
+                "partitioned": tenancy_dict(tenancy["partitioned"]),
+                "shared": tenancy_dict(tenancy["shared"]),
+            },
         },
-        "tenancy": {
-            "num_requests": tenancy["num_requests"],
-            "offered_qps": tenancy["offered_qps"],
-            "hbm_per_node_bytes": tenancy["hbm_per_node_bytes"],
-            "combined_model_bytes": tenancy["combined_model_bytes"],
-            "partitioned": tenancy_dict(tenancy["partitioned"]),
-            "shared": tenancy_dict(tenancy["shared"]),
+        gates={
+            "mixed_beats_feasible_uniforms":
+                planner["mixed_beats_feasible_uniforms"],
+            "some_uniform_infeasible": planner["some_uniform_infeasible"],
+            "tt_selected": planner["tt_selected"],
+            "ne_gap_within_floor": planner["ne_gap_within_floor"],
+            "partitioned_holds_all_slos":
+                tenancy["partitioned_holds_all_slos"],
+            "shared_misses_a_slo": tenancy["shared_misses_a_slo"],
         },
-        "mixed_beats_feasible_uniforms":
-            planner["mixed_beats_feasible_uniforms"],
-        "some_uniform_infeasible": planner["some_uniform_infeasible"],
-        "tt_selected": planner["tt_selected"],
-        "ne_gap_within_floor": planner["ne_gap_within_floor"],
-        "partitioned_holds_all_slos": tenancy["partitioned_holds_all_slos"],
-        "shared_misses_a_slo": tenancy["shared_misses_a_slo"],
-    }
+        tables=[
+            Table(f"planner: mixed plan under {config['budget_frac']:.0%} "
+                  f"budget, floor {config['quality_floor']:g} (measured NE "
+                  f"gap {mixed.measured_ne_gap:.2e}, floor "
+                  f"{config['ne_floor']:g})", PLAN_HEADER,
+                  plan_rows(results)),
+            Table("planner: mixed vs uniform at equal quality floor",
+                  UNIFORM_HEADER, uniform_rows(results)),
+            Table("planner: tenant isolation, partitioned vs shared",
+                  TENANCY_HEADER, tenancy_rows(results)),
+        ])
 
 
 PLAN_HEADER = ["table", "kind", "hot KiB", "error"]
@@ -303,61 +315,9 @@ def tenancy_rows(results):
     return rows
 
 
-def _print_table(header, rows):
-    widths = [max(len(str(h)), *(len(str(r[c])) for r in rows))
-              for c, h in enumerate(header)]
-    print("  ".join(str(h).rjust(w) for h, w in zip(header, widths)))
-    for r in rows:
-        print("  ".join(str(v).rjust(w) for v, w in zip(r, widths)))
-
-
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="small workload for CI smoke runs")
-    parser.add_argument("--out", default="BENCH_planner.json",
-                        help="output JSON path")
-    args = parser.parse_args(argv)
-    config = dict(QUICK_CONFIG if args.quick else FULL_CONFIG)
-    results = measure(config)
-    doc = as_json(config, results)
-    with open(args.out, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
-
-    mixed = results["planner"]["mixed"]
-    print(f"mixed plan under {config['budget_frac']:.0%} budget, "
-          f"floor {config['quality_floor']:g}:")
-    _print_table(PLAN_HEADER, plan_rows(results))
-    print(f"\nmeasured NE gap: {mixed.measured_ne_gap:.2e} "
-          f"(floor {config['ne_floor']:g})")
-    print("\nmixed vs uniform baselines at the same floor:")
-    _print_table(UNIFORM_HEADER, uniform_rows(results))
-    print("\ntenant isolation (same trace, both deployment modes):")
-    _print_table(TENANCY_HEADER, tenancy_rows(results))
-    print(f"wrote {args.out}")
-
-    failures = []
-    if not doc["mixed_beats_feasible_uniforms"]:
-        failures.append("mixed plan did not beat every floor-feasible "
-                        "uniform baseline on hot memory")
-    if not doc["some_uniform_infeasible"]:
-        failures.append("no uniform baseline breached the quality floor "
-                        "— the planted workload lost its tension")
-    if not doc["tt_selected"]:
-        failures.append("planner never chose TT for the TT-structured "
-                        "tables")
-    if not doc["ne_gap_within_floor"]:
-        failures.append("planned export's measured NE gap exceeded the "
-                        "floor")
-    if not doc["partitioned_holds_all_slos"]:
-        failures.append("planner-partitioned fleet missed a tenant SLO")
-    if not doc["shared_misses_a_slo"]:
-        failures.append("naive shared fleet held every SLO — the "
-                        "isolation gate has no contrast")
-    for f in failures:
-        print(f"FAIL: {f}", file=sys.stderr)
-    return 1 if failures else 0
+    return harness_main("planner", QUICK_CONFIG, FULL_CONFIG, measure,
+                        summarize, argv)
 
 
 def test_mixed_beats_uniform_baselines(benchmark, report):

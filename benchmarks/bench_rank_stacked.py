@@ -22,23 +22,22 @@ Two measurements:
 Run standalone to write ``BENCH_rank_stacked.json``::
 
     PYTHONPATH=src python benchmarks/bench_rank_stacked.py \
-        [--quick] [--out PATH] [--assert-speedup X]
+        [--quick] [--out PATH]
 
-``--quick`` shrinks world sizes and iterations for CI smoke runs (the
-CI gate asserts >= 2x at R=16); the full run is the acceptance
-measurement: stacked must be >= 4x looped at R=32.
+``--quick`` shrinks world sizes and iterations for CI smoke runs. Both
+modes gate on bitwise parity and on a speedup of at least
+``MIN_SPEEDUP`` at the largest compared world (R=16 quick, R=32 full).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 import time
 
 import numpy as np
 
+from _harness import Summary, Table, main as harness_main
 from repro import nn
 from repro.comms import ClusterTopology
 from repro.core import NeoTrainer
@@ -66,10 +65,12 @@ from tests.oracles.looped_trainer import LoopedNeoTrainer  # noqa: E402
 MODEL = dict(dense_dim=16, bottom_mlp=(16,) * 14, top_mlp=(16,) * 14,
              num_tables=1, rows=64, emb_dim=16, per_rank_batch=4)
 
-FULL_WORLDS = [4, 16, 32]
-FULL_STACKED_ONLY = [64, 128]
-QUICK_WORLDS = [4, 16]
-QUICK_STACKED_ONLY = []
+FULL_CONFIG = dict(model=MODEL, worlds=[4, 16, 32],
+                   stacked_only_worlds=[64, 128], iters=5)
+QUICK_CONFIG = dict(model=MODEL, worlds=[4, 16], stacked_only_worlds=[],
+                    iters=3)
+
+MIN_SPEEDUP = 2.0  # stacked vs looped step time at the largest world
 
 
 def build_trainer(world: int, stacked: bool = True,
@@ -133,16 +134,10 @@ def check_parity(world: int, steps: int = 3) -> bool:
     return looped.pg.log.wire_bytes == stacked.pg.log.wire_bytes
 
 
-def run_benchmark(quick=False, iters=None):
-    """Measure looped vs stacked step wall clock across world sizes.
-
-    Returns a JSON-ready dict with per-world timings, speedups and the
-    bitwise-parity verdict.
-    """
-    worlds = QUICK_WORLDS if quick else FULL_WORLDS
-    extra = QUICK_STACKED_ONLY if quick else FULL_STACKED_ONLY
-    iters = iters if iters is not None else (3 if quick else 5)
-
+def measure(config):
+    """Looped vs stacked step wall clock across world sizes, the
+    stacked-only curve, and the bitwise-parity verdict."""
+    worlds, iters = config["worlds"], config["iters"]
     parity = check_parity(worlds[0])
 
     points = {}
@@ -158,17 +153,14 @@ def run_benchmark(quick=False, iters=None):
             "speedup": looped_t / stacked_t,
         }
     curve = {}
-    for world in worlds + extra:
+    for world in worlds + config["stacked_only_worlds"]:
         batches = make_batches(world, 2)
         curve[world] = _best_step_time(build_trainer(world, stacked=True),
                                        batches, iters)
 
     top = max(worlds)
     return {
-        "benchmark": "rank_stacked_simulation",
-        "mode": "quick" if quick else "full",
-        "model": dict(MODEL),
-        "parity": {"stacked_vs_looped_bitwise": bool(parity)},
+        "parity": bool(parity),
         "points": {str(w): p for w, p in points.items()},
         "stacked_step_s_by_world": {str(w): t for w, t in curve.items()},
         "speedup_at_top_world": points[top]["speedup"],
@@ -176,52 +168,42 @@ def run_benchmark(quick=False, iters=None):
     }
 
 
+def summarize(config, results):
+    metrics = dict(results)
+    parity = metrics.pop("parity")
+    rows = [(w, f"{p['looped_step_s'] * 1e3:.2f}",
+             f"{p['stacked_step_s'] * 1e3:.2f}", f"{p['speedup']:.2f}x")
+            for w, p in results["points"].items()]
+    return Summary(
+        metrics=metrics,
+        gates={
+            "stacked_vs_looped_bitwise": parity,
+            f"speedup_at_top_world >= {MIN_SPEEDUP:g}":
+                results["speedup_at_top_world"] >= MIN_SPEEDUP,
+        },
+        tables=[
+            Table("rank-stacked vs looped train-step wall clock",
+                  ["world", "looped ms", "stacked ms", "speedup"], rows),
+            Table("stacked train-step wall clock by world",
+                  ["world", "stacked ms"],
+                  [(w, f"{t * 1e3:.2f}") for w, t in
+                   results["stacked_step_s_by_world"].items()]),
+        ])
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="small world sizes for CI smoke runs")
-    parser.add_argument("--out", default="BENCH_rank_stacked.json",
-                        help="output JSON path")
-    parser.add_argument("--assert-speedup", type=float, default=None,
-                        metavar="X",
-                        help="fail unless speedup at the largest "
-                             "compared world size >= X")
-    args = parser.parse_args(argv)
-    result = run_benchmark(quick=args.quick)
-    with open(args.out, "w") as f:
-        json.dump(result, f, indent=2)
-        f.write("\n")
-    for w, p in result["points"].items():
-        print(f"R={w:>4}  looped {p['looped_step_s'] * 1e3:8.2f} ms  "
-              f"stacked {p['stacked_step_s'] * 1e3:8.2f} ms  "
-              f"{p['speedup']:.2f}x")
-    for w, t in result["stacked_step_s_by_world"].items():
-        print(f"R={w:>4}  stacked {t * 1e3:8.2f} ms/step")
-    print(f"parity: {result['parity']}")
-    print(f"wrote {args.out}")
-    if not result["parity"]["stacked_vs_looped_bitwise"]:
-        print("FAIL: stacked path not bitwise-identical to looped",
-              file=sys.stderr)
-        return 1
-    speedup = result["speedup_at_top_world"]
-    if args.assert_speedup is not None and speedup < args.assert_speedup:
-        print(f"FAIL: speedup {speedup:.2f}x at R={result['top_world']} "
-              f"< floor {args.assert_speedup:.2f}x", file=sys.stderr)
-        return 1
-    return 0
+    return harness_main("rank_stacked", QUICK_CONFIG, FULL_CONFIG, measure,
+                        summarize, argv)
 
 
 def test_rank_stacked_speedup(benchmark, report):
     """Smoke: stacked beats looped and stays bitwise-identical."""
-    result = benchmark(run_benchmark, quick=True, iters=2)
-    rows = [(w, f"{p['looped_step_s'] * 1e3:.2f}",
-             f"{p['stacked_step_s'] * 1e3:.2f}", f"{p['speedup']:.2f}x")
-            for w, p in result["points"].items()]
-    report("rank-stacked vs looped train-step wall clock",
-           ["world", "looped ms", "stacked ms", "speedup"], rows)
-    assert result["parity"]["stacked_vs_looped_bitwise"]
-    # the hard >=2x / >=4x floors are CLI gates on dedicated hardware;
-    # under pytest parallelism only require a real win at the top size
+    config = dict(QUICK_CONFIG, iters=2)
+    result = benchmark(measure, config)
+    report(*summarize(config, result).tables[0])
+    assert result["parity"]
+    # the MIN_SPEEDUP floor is the standalone run's gate; under pytest
+    # parallelism only require a real win at the top size
     assert result["speedup_at_top_world"] >= 1.0
 
 

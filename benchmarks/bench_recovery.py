@@ -6,7 +6,7 @@ real (simulated-cluster) training workload:
 * **zero-fault overhead** — training under ``FaultyProcessGroup`` with
   an empty schedule must be bitwise identical to ``SimProcessGroup``
   and cost almost nothing extra on the wall clock (the health-tracking
-  observation is the only added work). CI enforces <= 5%.
+  observation is the only added work): at most ``MAX_OVERHEAD_PCT``.
 * **recovery drill** — a rank is crashed mid-run; the loop restores the
   newest checkpoint onto a replacement world and replays. Reported:
   wall-clock time-to-recover, lost steps, and a bitwise comparison of
@@ -15,23 +15,20 @@ real (simulated-cluster) training workload:
 
 Run standalone to write ``BENCH_recovery.json``::
 
-    PYTHONPATH=src python benchmarks/bench_recovery.py \
-        [--quick] [--out PATH] [--max-overhead PCT]
+    PYTHONPATH=src python benchmarks/bench_recovery.py [--quick] [--out PATH]
 
-``--quick`` shrinks the workload for CI smoke runs; ``--max-overhead``
-exits nonzero if the zero-fault wall-clock overhead exceeds the given
-percentage. Recovery parity is always asserted.
+``--quick`` shrinks the workload for CI smoke runs.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
+import tempfile
 import time
 
 import numpy as np
 
+from _harness import Summary, Table, main as harness_main
 from repro import nn
 from repro.comms import ClusterTopology
 from repro.core import CheckpointManager, NeoTrainer, TrainingLoop
@@ -47,6 +44,8 @@ FULL_CONFIG = dict(world=4, steps=24, global_batch=32, rows=512, dim=16,
                    num_tables=4, reps=4, checkpoint_every=6, crash_at=15)
 QUICK_CONFIG = dict(world=2, steps=10, global_batch=16, rows=128, dim=8,
                     num_tables=2, reps=3, checkpoint_every=3, crash_at=7)
+
+MAX_OVERHEAD_PCT = 5.0  # zero-fault FaultyProcessGroup wall-clock cost
 
 
 def build_parts(world, rows, dim, num_tables, pg_factory=None, seed=0):
@@ -109,7 +108,6 @@ def measure_overhead(config):
 def recovery_drill(config, tmpdir):
     """Crash a rank mid-run, recover, compare against an uninterrupted
     run bitwise. Returns timings + parity verdicts."""
-    import tempfile
     tmpdir = tempfile.mkdtemp(dir=tmpdir)  # fresh per call: no stale ckpts
     kw = dict(world=config["world"], rows=config["rows"], dim=config["dim"],
               num_tables=config["num_tables"])
@@ -161,85 +159,62 @@ def recovery_drill(config, tmpdir):
     }
 
 
-def run_benchmark(quick=False, tmpdir=None):
-    config = dict(QUICK_CONFIG if quick else FULL_CONFIG)
-    if tmpdir is None:
-        import tempfile
-        tmpdir = tempfile.mkdtemp(prefix="bench_recovery_")
-    overhead = measure_overhead(config)
-    drill = recovery_drill(config, tmpdir)
-    return {
-        "benchmark": "recovery",
-        "mode": "quick" if quick else "full",
-        "config": config,
-        "zero_fault_overhead": overhead,
-        "recovery_drill": drill,
-    }
+def measure(config):
+    with tempfile.TemporaryDirectory(prefix="bench_recovery_") as tmpdir:
+        return {"zero_fault_overhead": measure_overhead(config),
+                "recovery_drill": recovery_drill(config, tmpdir)}
+
+
+def summarize(config, results):
+    overhead, drill = results["zero_fault_overhead"], results["recovery_drill"]
+    return Summary(
+        metrics=results,
+        gates={
+            "zero_fault_bitwise_parity": overhead["bitwise_parity"],
+            "recovered_run_matches_reference":
+                drill["final_state_bitwise"] and drill["losses_match"],
+            f"zero_fault_overhead_pct <= {MAX_OVERHEAD_PCT:g}":
+                overhead["overhead_pct"] <= MAX_OVERHEAD_PCT,
+        },
+        tables=[overhead_table(overhead), drill_table(config, drill)])
+
+
+def overhead_table(overhead):
+    return Table("zero-fault FaultyProcessGroup overhead",
+                 ["plain s", "faulty s", "overhead %", "bitwise"],
+                 [(f"{overhead['plain_seconds']:.3f}",
+                   f"{overhead['faulty_seconds']:.3f}",
+                   f"{overhead['overhead_pct']:+.2f}",
+                   overhead["bitwise_parity"])])
+
+
+def drill_table(config, drill):
+    return Table(f"recovery drill (crash at iteration {config['crash_at']})",
+                 ["restored", "lost", "recover s", "bitwise"],
+                 [(drill["restored_step"], drill["lost_steps"],
+                   f"{drill['time_to_recover_seconds']:.3f}",
+                   drill["final_state_bitwise"])])
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="small workload for CI smoke runs")
-    parser.add_argument("--out", default="BENCH_recovery.json",
-                        help="output JSON path")
-    parser.add_argument("--max-overhead", type=float, default=None,
-                        metavar="PCT",
-                        help="fail if zero-fault overhead exceeds PCT%%")
-    args = parser.parse_args(argv)
-    result = run_benchmark(quick=args.quick)
-    with open(args.out, "w") as f:
-        json.dump(result, f, indent=2)
-        f.write("\n")
-    ov = result["zero_fault_overhead"]
-    drill = result["recovery_drill"]
-    print(f"mode={result['mode']}  zero-fault overhead "
-          f"{ov['overhead_pct']:+.2f}% (parity={ov['bitwise_parity']})")
-    print(f"recovery: restored step {drill['restored_step']} after crash "
-          f"at {drill['failed_iteration']}, lost {drill['lost_steps']} "
-          f"step(s), rebuilt in {drill['time_to_recover_seconds']:.3f}s, "
-          f"final state bitwise={drill['final_state_bitwise']}")
-    print(f"wrote {args.out}")
-    if not ov["bitwise_parity"]:
-        print("FAIL: zero-fault run not bitwise-identical to plain run",
-              file=sys.stderr)
-        return 1
-    if not (drill["final_state_bitwise"] and drill["losses_match"]):
-        print("FAIL: recovered run diverged from uninterrupted reference",
-              file=sys.stderr)
-        return 1
-    if args.max_overhead is not None and \
-            ov["overhead_pct"] > args.max_overhead:
-        print(f"FAIL: zero-fault overhead {ov['overhead_pct']:.2f}% > "
-              f"floor {args.max_overhead:.2f}%", file=sys.stderr)
-        return 1
-    return 0
+    return harness_main("recovery", QUICK_CONFIG, FULL_CONFIG, measure,
+                        summarize, argv)
 
 
 def test_zero_fault_overhead(benchmark, report):
     """Empty-schedule FaultyProcessGroup: bitwise parity, tiny overhead."""
     result = benchmark(measure_overhead, dict(QUICK_CONFIG))
-    report("zero-fault FaultyProcessGroup overhead",
-           ["plain s", "faulty s", "overhead %", "bitwise"],
-           [(f"{result['plain_seconds']:.3f}",
-             f"{result['faulty_seconds']:.3f}",
-             f"{result['overhead_pct']:+.2f}",
-             result["bitwise_parity"])])
+    report(*overhead_table(result))
     assert result["bitwise_parity"]
     # generous wall-clock bound for shared CI machines; the standalone
-    # run enforces the 5% acceptance floor via --max-overhead
+    # run enforces the MAX_OVERHEAD_PCT acceptance floor
     assert result["overhead_pct"] < 25.0
 
 
 def test_recovery_drill(benchmark, report, tmp_path):
     """Crash -> restore -> replay must be bitwise-exact end to end."""
     result = benchmark(recovery_drill, dict(QUICK_CONFIG), str(tmp_path))
-    report("recovery drill (crash at iteration "
-           f"{QUICK_CONFIG['crash_at']})",
-           ["restored", "lost", "recover s", "bitwise"],
-           [(result["restored_step"], result["lost_steps"],
-             f"{result['time_to_recover_seconds']:.3f}",
-             result["final_state_bitwise"])])
+    report(*drill_table(QUICK_CONFIG, result))
     assert result["losses_match"]
     assert result["final_state_bitwise"]
     assert result["lost_steps"] == \

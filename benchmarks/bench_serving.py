@@ -13,20 +13,18 @@ seed and identical on every machine.
 
 Run standalone to write ``BENCH_serving.json``::
 
-    PYTHONPATH=src python benchmarks/bench_serving.py \
-        [--quick] [--out PATH] [--min-speedup X]
+    PYTHONPATH=src python benchmarks/bench_serving.py [--quick] [--out PATH]
 
-``--min-speedup`` exits nonzero unless batched goodput is at least X
+It exits nonzero unless batched goodput is at least ``MIN_SPEEDUP``
 times the unbatched goodput at the overload point while batched p99
-stays within the SLO (the acceptance gate; default 2.0).
+stays within the SLO.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 
+from _harness import Summary, Table, main as harness_main
 from repro.data import SyntheticCTRDataset
 from repro.embedding import EmbeddingTableConfig
 from repro.models import DLRM, DLRMConfig
@@ -40,6 +38,8 @@ FULL_CONFIG = dict(num_tables=4, rows=400, dim=16, dense_dim=8,
 QUICK_CONFIG = dict(num_tables=3, rows=200, dim=8, dense_dim=6,
                     requests=800, slo_ms=5.0, max_batch=64,
                     max_wait_us=2000.0, precision="fp32", seed=0)
+
+MIN_SPEEDUP = 2.0  # batched / unbatched goodput at the 2x load point
 
 
 def build_setup(config):
@@ -96,23 +96,34 @@ def measure(config):
     return results
 
 
-def as_json(config, results):
-    def report_dict(r):
-        d = dict(r.__dict__)
-        d.pop("samples_s", None)  # raw samples stay out of the JSON
-        d["shed_fraction"] = r.shed_fraction
-        return d
-    return {
-        "benchmark": "serving",
-        "config": config,
-        "capacity_batch1_qps": results["capacity_batch1_qps"],
-        "loads": {label: {name: report_dict(rep)
-                          for name, rep in point.items()}
-                  for label, point in results["loads"].items()},
-        "goodput_speedup_at_2x": results["goodput_speedup_at_2x"],
-        "batched_p99_within_slo_at_2x":
-            results["batched_p99_within_slo_at_2x"],
-    }
+def report_dict(r):
+    """A ``LoadReport`` as JSON: every field but the raw samples."""
+    d = dict(r.__dict__)
+    d.pop("samples_s", None)
+    d["shed_fraction"] = r.shed_fraction
+    return d
+
+
+def summarize(config, results):
+    speedup = results["goodput_speedup_at_2x"]
+    return Summary(
+        metrics={
+            "capacity_batch1_qps": results["capacity_batch1_qps"],
+            "loads": {label: {name: report_dict(rep)
+                              for name, rep in point.items()}
+                      for label, point in results["loads"].items()},
+            "goodput_speedup_at_2x": speedup,
+        },
+        gates={
+            f"goodput_speedup_at_2x >= {MIN_SPEEDUP:g}":
+                speedup >= MIN_SPEEDUP,
+            "batched_p99_within_slo_at_2x":
+                results["batched_p99_within_slo_at_2x"],
+        },
+        tables=[Table("serving: batched vs unbatched under Poisson load "
+                      f"(SLO {config['slo_ms']:g} ms)",
+                      ["load", "policy"] + LoadReport.ROW_HEADER,
+                      result_rows(results))])
 
 
 def result_rows(results):
@@ -124,43 +135,8 @@ def result_rows(results):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="small workload for CI smoke runs")
-    parser.add_argument("--out", default="BENCH_serving.json",
-                        help="output JSON path")
-    parser.add_argument("--min-speedup", type=float, default=2.0,
-                        metavar="X",
-                        help="fail unless batched goodput >= X * unbatched "
-                             "at 2x load with batched p99 within SLO")
-    args = parser.parse_args(argv)
-    config = dict(QUICK_CONFIG if args.quick else FULL_CONFIG)
-    config["mode"] = "quick" if args.quick else "full"
-    results = measure(config)
-    with open(args.out, "w") as f:
-        json.dump(as_json(config, results), f, indent=2)
-        f.write("\n")
-    header = ["load", "policy"] + LoadReport.ROW_HEADER
-    rows = result_rows(results)
-    widths = [max(len(str(h)), *(len(str(r[c])) for r in rows))
-              for c, h in enumerate(header)]
-    print("  ".join(h.rjust(w) for h, w in zip(header, widths)))
-    for r in rows:
-        print("  ".join(str(v).rjust(w) for v, w in zip(r, widths)))
-    speedup = results["goodput_speedup_at_2x"]
-    print(f"\nbatched/unbatched goodput at 2x load: {speedup:.1f}x "
-          f"(batched p99 within SLO: "
-          f"{results['batched_p99_within_slo_at_2x']})")
-    print(f"wrote {args.out}")
-    if speedup < args.min_speedup:
-        print(f"FAIL: goodput speedup {speedup:.2f}x < floor "
-              f"{args.min_speedup:.2f}x", file=sys.stderr)
-        return 1
-    if not results["batched_p99_within_slo_at_2x"]:
-        print("FAIL: batched p99 exceeded the SLO at 2x load",
-              file=sys.stderr)
-        return 1
-    return 0
+    return harness_main("serving", QUICK_CONFIG, FULL_CONFIG, measure,
+                        summarize, argv)
 
 
 def test_batched_goodput_speedup(benchmark, report):
@@ -171,8 +147,7 @@ def test_batched_goodput_speedup(benchmark, report):
            f"(SLO {QUICK_CONFIG['slo_ms']:.0f} ms)",
            ["load", "policy"] + LoadReport.ROW_HEADER,
            result_rows(results))
-    assert results["goodput_speedup_at_2x"] >= 2.0
-    assert results["batched_p99_within_slo_at_2x"]
+    assert all(summarize(dict(QUICK_CONFIG), results).gates.values())
     # under light load both policies meet the SLO — batching must not
     # sacrifice attainment when it isn't needed
     light = results["loads"]["0.5x"]
@@ -183,8 +158,8 @@ def test_batched_goodput_speedup(benchmark, report):
 def test_deterministic_json(benchmark, report):
     """Same seed, same config -> identical serialized results."""
     config = dict(QUICK_CONFIG, requests=200)
-    a = as_json(config, measure(config))
-    b = benchmark.pedantic(lambda: as_json(config, measure(config)),
+    a = summarize(config, measure(config))
+    b = benchmark.pedantic(lambda: summarize(config, measure(config)),
                            rounds=1, iterations=1)
     report("serving determinism", ["check", "result"],
            [["json identical across runs", a == b]])

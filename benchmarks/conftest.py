@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.online.report import render_table
+
 
 def pytest_collection_modifyitems(items):
     """Every collected item in this directory is a benchmark entry."""
@@ -27,13 +29,7 @@ def record_rows(benchmark, title, header, rows):
     """Attach a small results table to the benchmark report and print it."""
     benchmark.extra_info["title"] = title
     benchmark.extra_info["rows"] = [list(map(str, r)) for r in rows]
-    widths = [max(len(str(x)) for x in col)
-              for col in zip(header, *[[str(c) for c in r] for r in rows])]
-    lines = [title,
-             "  ".join(str(h).ljust(w) for h, w in zip(header, widths))]
-    for r in rows:
-        lines.append("  ".join(str(c).ljust(w) for c, w in zip(r, widths)))
-    print("\n" + "\n".join(lines))
+    print(f"\n{title}\n{render_table(header, rows)}")
 
 
 @pytest.fixture

@@ -152,32 +152,6 @@ class EmbeddingTable:
         self._saved = (indices, None, lengths)
         return out
 
-    def forward_reference(self, indices: np.ndarray,
-                          offsets: np.ndarray) -> np.ndarray:
-        """Seed ``np.add.at`` scatter implementation, kept as the slow
-        reference: the parity oracle for kernel tests and the baseline the
-        ``bench_fused_kernel`` trajectory measures speedups against.
-
-        Note ``np.add.at`` accumulates strictly sequentially while
-        :func:`~repro.embedding.kernels.segment_sum` uses numpy's pairwise
-        reduction order, so for bags longer than ~8 the two are equal only
-        to float32 rounding (the pairwise order is the more accurate one).
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        offsets = np.asarray(offsets, dtype=np.int64)
-        self._validate(indices, offsets)
-        batch = len(offsets) - 1
-        lengths = np.diff(offsets)
-        bag_ids = np.repeat(np.arange(batch, dtype=np.int64), lengths)
-        out = np.zeros((batch, self.config.embedding_dim), dtype=np.float32)
-        if len(indices):
-            np.add.at(out, bag_ids, self.weight[indices])
-        if self.config.pooling_mode == "mean":
-            denom = np.maximum(lengths, 1).astype(np.float32)
-            out /= denom[:, None]
-        self._saved = (indices, bag_ids, lengths)
-        return out
-
     def backward(self, dy: np.ndarray) -> SparseGradient:
         """Gradient w.r.t. rows touched in the last forward pass."""
         if self._saved is None:

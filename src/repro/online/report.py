@@ -192,7 +192,9 @@ def run_cadence_sweep(loop_factory: Callable[[], TrainingLoop],
 
 
 def render_table(header: List[str], rows: List[List[str]]) -> str:
-    """Right-aligned fixed-width table (shared by bench and CLI)."""
+    """Right-aligned fixed-width table.
+
+    Shared by the fleet reports and the benchmark harness."""
     widths = [max(len(str(header[c])), *(len(str(r[c])) for r in rows))
               for c in range(len(header))]
     lines = ["  ".join(str(h).rjust(w) for h, w in zip(header, widths))]

@@ -1,17 +1,22 @@
 """Meta-tests: documentation and public-API consistency.
 
 Keeps the repository honest as it grows: every module documented, every
-``__all__`` name real, every subpackage inventoried in DESIGN.md, and
-every bench file indexed in the docs.
+``__all__`` name real, every subpackage inventoried in DESIGN.md, every
+bench file indexed in the docs, every documented command runnable, and
+docs/api.md in step with the code.
 """
 
+import glob
 import importlib
+import importlib.util
 import os
 import pkgutil
+import re
 
 import pytest
 
 import repro
+from repro.__main__ import build_parser
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -92,3 +97,51 @@ class TestPackaging:
     def test_top_level_all_importable(self):
         for entry in repro.__all__:
             importlib.import_module(f"repro.{entry}")
+
+
+def command_docs():
+    """The documents that show commands to run."""
+    paths = [os.path.join(REPO_ROOT, name)
+             for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+    paths += sorted(glob.glob(os.path.join(REPO_ROOT, "docs", "*.md")))
+    paths.append(os.path.join(REPO_ROOT, ".claude", "skills", "verify",
+                              "SKILL.md"))
+    return {os.path.relpath(p, REPO_ROOT): open(p).read() for p in paths}
+
+
+class TestDocumentedCommands:
+    def test_repro_subcommands_exist(self):
+        """Every ``python -m repro <word>`` names a parser subcommand."""
+        parser = build_parser()
+        stale = []
+        for doc, text in command_docs().items():
+            for word in re.findall(r"python -m repro\s+([a-z][\w-]*)",
+                                   text):
+                try:
+                    parser.parse_args([word])
+                except SystemExit:
+                    stale.append(f"{doc}: python -m repro {word}")
+        assert not stale, f"documented commands the CLI lacks: {stale}"
+
+    def test_bench_paths_exist(self):
+        """Every ``benchmarks/bench_*.py`` path in the docs exists."""
+        missing = []
+        for doc, text in command_docs().items():
+            for path in re.findall(r"benchmarks/bench_\w+\.py", text):
+                if not os.path.exists(os.path.join(REPO_ROOT, path)):
+                    missing.append(f"{doc}: {path}")
+        assert not missing, f"documented benches that do not exist: " \
+            f"{missing}"
+
+
+class TestApiDocs:
+    def test_api_md_matches_generator(self):
+        """docs/api.md is what ``python tools/gen_api_docs.py`` writes."""
+        spec = importlib.util.spec_from_file_location(
+            "gen_api_docs", os.path.join(REPO_ROOT, "tools",
+                                         "gen_api_docs.py"))
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        with open(os.path.join(REPO_ROOT, "docs", "api.md")) as f:
+            assert gen.render() == f.read(), \
+                "docs/api.md is stale: run python tools/gen_api_docs.py"

@@ -14,7 +14,7 @@ from repro.embedding import (EmbeddingArena, EmbeddingTable,
                              EmbeddingTableConfig, FusedEmbeddingCollection,
                              RowWiseAdaGrad, SparseSGD, lengths_to_offsets)
 
-from .oracles.per_table import PerTableEmbeddings
+from .oracles.per_table import PerTableEmbeddings, forward_reference
 
 
 def make_tables(configs, seed=0):
@@ -125,7 +125,7 @@ class TestForwardParity:
         out = arena_c.forward(batch)
         for t in refs:
             np.testing.assert_allclose(
-                out[t.name], t.forward_reference(*batch[t.name]),
+                out[t.name], forward_reference(t, *batch[t.name]),
                 rtol=1e-6, atol=1e-6)
 
     def test_all_empty_batch(self):

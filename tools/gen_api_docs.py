@@ -29,7 +29,8 @@ def signature_of(obj) -> str:
     return sig if len(sig) <= 100 else "(...)"
 
 
-def main() -> None:
+def render() -> str:
+    """The full text of docs/api.md."""
     lines = [
         "# API reference",
         "",
@@ -63,11 +64,15 @@ def main() -> None:
             else:
                 lines.append(f"- **`{entry}`** — constant")
         lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+def main() -> None:
     out_path = os.path.join(REPO_ROOT, "docs", "api.md")
+    text = render()
     with open(out_path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-    print(f"wrote {out_path} ({len(lines)} lines, "
-          f"{len(modules)} modules scanned)")
+        f.write(text)
+    print(f"wrote {out_path} ({len(text.splitlines())} lines)")
 
 
 if __name__ == "__main__":
